@@ -62,8 +62,8 @@ use std::sync::Arc;
 use tpcc_db::cluster::{Cluster, ClusterConfig, ItemPlacement};
 use tpcc_db::db::DbConfig;
 use tpcc_db::driver::DriverConfig;
-use tpcc_db::{loader, CdcPipeline, GroupCommitConfig, ParallelDriver};
-use tpcc_obs::{Label, MemoryRecorder, Obs};
+use tpcc_db::{loader, CdcPipeline, GroupCommitConfig, GroupCommitStats, ParallelDriver, TpccDb};
+use tpcc_obs::{Label, MemoryRecorder, Obs, QuantileSketch};
 
 const SCHEMA: u32 = 5;
 const SEED: u64 = 42;
@@ -262,6 +262,32 @@ fn run_cluster_cell() -> Cell {
     }
 }
 
+/// The group-commit pipeline's cumulative counters and commit-wait
+/// sketch (`None` in sync cells) — taken after warmup, handed to
+/// [`gc_since`] after the measured phase.
+fn gc_mark(db: &TpccDb) -> Option<(GroupCommitStats, QuantileSketch)> {
+    db.group_commit_stats().zip(db.commit_wait_sketch())
+}
+
+/// `(commits per flush, commit-wait p95 µs)` over the phase since
+/// `mark` only (warmup flushes and waits subtracted out); zeros in
+/// sync cells.
+fn gc_since(db: &TpccDb, mark: Option<(GroupCommitStats, QuantileSketch)>) -> (f64, f64) {
+    let Some(((before, warm_wait), (after, waits))) = mark.zip(gc_mark(db)) else {
+        return (0.0, 0.0);
+    };
+    let flushes = after.flushes - before.flushes;
+    let commits = after.commits_flushed - before.commits_flushed;
+    (
+        if flushes == 0 {
+            0.0
+        } else {
+            commits as f64 / flushes as f64
+        },
+        waits.delta_since(&warm_wait).quantile(0.95) / 1e3,
+    )
+}
+
 fn run_cell_once(threads: u64, warehouses: u64, group_commit: bool, mvcc: bool) -> Cell {
     let mut cfg = DbConfig::small();
     cfg.warehouses = warehouses;
@@ -287,33 +313,14 @@ fn run_cell_once(threads: u64, warehouses: u64, group_commit: bool, mvcc: bool) 
     let warm_misses = recorder.counter_total("buf_misses");
     let warm_hits = recorder.counter_total("buf_hits");
     let warm_wal = recorder.counter_total("wal_bytes_appended");
-    let warm_gc = db.group_commit_stats();
-    let warm_wait = db.commit_wait_sketch();
+    let warm_gc = gc_mark(&db);
 
     let report = driver.run(&db, TXNS_PER_CELL);
 
     let misses = (recorder.counter_total("buf_misses") - warm_misses) as f64;
     let hits = (recorder.counter_total("buf_hits") - warm_hits) as f64;
     let wal = (recorder.counter_total("wal_bytes_appended") - warm_wal) as f64;
-    // group-commit metrics over the measured phase only (warmup
-    // flushes and waits subtracted out)
-    let (commits_per_flush, commit_wait_p95_us) = match (db.group_commit_stats(), warm_gc) {
-        (Some(after), Some(before)) => {
-            let flushes = after.flushes - before.flushes;
-            let commits = after.commits_flushed - before.commits_flushed;
-            let waits = db.commit_wait_sketch().expect("group commit on");
-            let delta = waits.delta_since(&warm_wait.expect("group commit on"));
-            (
-                if flushes == 0 {
-                    0.0
-                } else {
-                    commits as f64 / flushes as f64
-                },
-                delta.quantile(0.95) / 1e3,
-            )
-        }
-        _ => (0.0, 0.0),
-    };
+    let (commits_per_flush, commit_wait_p95_us) = gc_since(&db, warm_gc);
     Cell {
         threads,
         warehouses,
@@ -337,9 +344,11 @@ fn run_cell_once(threads: u64, warehouses: u64, group_commit: bool, mvcc: bool) 
 /// The CDC cell, [`REPLICATES`] runs, per-metric median: the
 /// group-commit + MVCC + spec-rollback workload on 8 terminals × 2
 /// warehouses with a [`CdcPipeline`] polled every [`CDC_POLL_EVERY`]
-/// transactions. Gated: throughput (decode cost rides the same wall
-/// clock) and the pre-poll view lag p95 in WAL entries, measured over
-/// the post-warmup polls only.
+/// transactions. Every column of a group-commit + MVCC cell is
+/// filled from the chunk reports and the pipeline's counters; gated on
+/// top: throughput over the polled wall clock (decode cost rides it)
+/// and the pre-poll view lag p95 in WAL entries, measured over the
+/// post-warmup polls only.
 fn run_cdc_cell() -> Cell {
     const THREADS: u64 = 8;
     const WAREHOUSES: u64 = 2;
@@ -360,43 +369,58 @@ fn run_cdc_cell() -> Cell {
             let driver =
                 ParallelDriver::new(DriverConfig::default().with_spec_rollbacks(), THREADS, SEED);
 
+            // runs `total` transactions in polled chunks; returns the
+            // chunks' merged per-type latency and their rollbacks
             let mut run_polled = |total: u64| {
+                let mut latency: [QuantileSketch; 5] = Default::default();
+                let mut rollbacks = 0;
                 let mut remaining = total;
                 while remaining > 0 {
                     let n = CDC_POLL_EVERY.min(remaining);
-                    driver.run(&db, n);
+                    let report = driver.run(&db, n);
+                    for (all, chunk) in latency.iter_mut().zip(&report.latency_ns) {
+                        all.merge(chunk);
+                    }
+                    rollbacks += report.rollbacks;
                     remaining -= n;
                     db.flush_log();
                     pipeline.poll(&db).expect("no lag bound configured");
                 }
+                (latency, rollbacks)
             };
             run_polled(WARMUP); // discarded: fault the working set in
             let warm_lag = recorder
                 .histogram("cdc_lag_entries", Label::None)
                 .expect("pipeline polled during warmup");
+            let warm_misses = recorder.counter_total("buf_misses");
+            let warm_hits = recorder.counter_total("buf_hits");
             let warm_wal = recorder.counter_total("wal_bytes_appended");
+            let warm_gc = gc_mark(&db);
 
             let start = std::time::Instant::now();
-            run_polled(TXNS_PER_CELL);
+            let (latency, rollbacks) = run_polled(TXNS_PER_CELL);
             let elapsed = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
 
             let lag = recorder
                 .histogram("cdc_lag_entries", Label::None)
                 .expect("pipeline polled during the run")
                 .delta_since(&warm_lag);
+            let misses = (recorder.counter_total("buf_misses") - warm_misses) as f64;
+            let hits = (recorder.counter_total("buf_hits") - warm_hits) as f64;
             let wal = (recorder.counter_total("wal_bytes_appended") - warm_wal) as f64;
+            let (commits_per_flush, commit_wait_p95_us) = gc_since(&db, warm_gc);
             Cell {
                 threads: THREADS,
                 warehouses: WAREHOUSES,
                 group_commit: true,
                 mvcc: true,
                 tps: TXNS_PER_CELL as f64 / elapsed,
-                p95_us: [0.0; 3],
-                miss_ppm: 0.0,
+                p95_us: P95_TYPES.map(|t| latency[t].quantile(0.95) / 1e3),
+                miss_ppm: misses / (hits + misses).max(1.0) * 1e6,
                 wal_bytes_per_txn: wal / TXNS_PER_CELL as f64,
-                commits_per_flush: 0.0,
-                commit_wait_p95_us: 0.0,
-                rollbacks: 0.0,
+                commits_per_flush,
+                commit_wait_p95_us,
+                rollbacks: rollbacks as f64,
                 nodes: 0,
                 cluster_tpm: 0.0,
                 remote_p95_us: 0.0,
@@ -408,7 +432,16 @@ fn run_cdc_cell() -> Cell {
     let of = |f: &dyn Fn(&Cell) -> f64| median(runs.iter().map(f).collect());
     Cell {
         tps: of(&|c| c.tps),
+        p95_us: [
+            of(&|c| c.p95_us[0]),
+            of(&|c| c.p95_us[1]),
+            of(&|c| c.p95_us[2]),
+        ],
+        miss_ppm: of(&|c| c.miss_ppm),
         wal_bytes_per_txn: of(&|c| c.wal_bytes_per_txn),
+        commits_per_flush: of(&|c| c.commits_per_flush),
+        commit_wait_p95_us: of(&|c| c.commit_wait_p95_us),
+        rollbacks: of(&|c| c.rollbacks),
         cdc_lag_p95: of(&|c| c.cdc_lag_p95),
         ..runs.into_iter().next().expect("at least one replicate")
     }

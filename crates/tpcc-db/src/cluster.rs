@@ -57,17 +57,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::db::{DbConfig, TpccDb};
-use crate::driver::{DriverConfig, InputGen, TxnInput};
-use crate::keys;
+use crate::driver::DriverConfig;
 use crate::loader;
-use crate::mvcc::TreeId;
-use crate::parallel::{k, space, terminal_seed, SPACE_LABELS};
-use crate::records::{
-    CustomerRec, DistrictRec, HistoryRec, ItemRec, NewOrderRec, OrderLineRec, OrderRec, StockRec,
-    WarehouseRec,
-};
-use crate::txns::{apply_stock_update, CustomerSelector, NewOrderAborted, OrderLineReq};
-use tpcc_lock::{LockKey, LockManager, LockMode, Ts, Txn};
+use crate::terminal::{even_seats, lock_manager, run_terminals, Placement, Tally};
+use crate::txns::{self, CustomerSelector, NewOrderAborted, OrderLineReq};
+use tpcc_lock::{LockManager, Ts};
 use tpcc_obs::QuantileSketch;
 use tpcc_schema::relation::Relation;
 use tpcc_storage::{FaultHook, FaultPlan, FaultSite, RecordId, VersionKey, WalEntry};
@@ -176,7 +170,6 @@ fn node_seed(seed: u64, n: u64) -> u64 {
 
 struct Node {
     db: TpccDb,
-    lm: LockManager,
     /// Messages received, by [`MsgKind`].
     inbox: [AtomicU64; MSG_KINDS],
 }
@@ -186,8 +179,8 @@ struct Node {
 /// keys to publish at commit, and the before-images for compensation
 /// on abort. Remote writes bypass the home thread's MVCC write context
 /// (which belongs to the home node's transaction) and record undo by
-/// hand — [`Cluster::participant_update`] is the only writer.
-struct Participant {
+/// hand — [`Placement::remote_update`] is the only writer.
+pub(crate) struct Participant {
     node: usize,
     token: u64,
     keys: Vec<VersionKey>,
@@ -200,9 +193,6 @@ struct Participant {
 /// layer, and a 2PC coordinator.
 pub struct Cluster {
     cfg: ClusterConfig,
-    /// The per-node [`DbConfig`] actually loaded (warehouses and MVCC
-    /// overridden).
-    node_cfg: DbConfig,
     nodes: Vec<Node>,
     /// Cluster-wide timestamp source: lock priorities on every node and
     /// 2PC transaction ids draw from the same counter, so both are
@@ -233,20 +223,13 @@ impl Cluster {
         // store, so the cluster always runs with MVCC on
         node_cfg.mvcc = true;
         let nodes = (0..cfg.nodes)
-            .map(|n| {
-                let db = loader::load(node_cfg, node_seed(seed, n));
-                let mut lm = LockManager::new();
-                lm.set_obs(db.obs(), &SPACE_LABELS);
-                Node {
-                    db,
-                    lm,
-                    inbox: std::array::from_fn(|_| AtomicU64::new(0)),
-                }
+            .map(|n| Node {
+                db: loader::load(node_cfg, node_seed(seed, n)),
+                inbox: std::array::from_fn(|_| AtomicU64::new(0)),
             })
             .collect();
         Self {
             cfg,
-            node_cfg,
             nodes,
             next_ts: AtomicU64::new(0),
             coordinators: Mutex::new(HashMap::new()),
@@ -356,63 +339,207 @@ impl Cluster {
         }
     }
 
-    /// Draws a cluster-unique timestamp (lock priority and 2PC id).
-    fn draw_ts(&self) -> u64 {
-        self.next_ts.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Acquires a `(node, key, mode)` lockset sorted ascending by
-    /// `(node, key)` — one wound-wait context per node, opened at the
-    /// shared timestamp `ts`. Returns the held contexts (strict 2PL:
-    /// dropping them releases everything) or `None` on a wound.
-    fn acquire(&self, ts: Ts, lockset: &[(usize, LockKey, LockMode)]) -> Option<Vec<Txn<'_>>> {
-        let mut txns: Vec<Txn<'_>> = Vec::new();
-        let mut cur: Option<usize> = None;
-        for &(node, key, mode) in lockset {
-            if cur != Some(node) {
-                txns.push(self.nodes[node].lm.begin_at(ts));
-                cur = Some(node);
+    /// Rolls a cross-node transaction back: compensate each
+    /// participant's writes in reverse, then — for a 2PC round
+    /// `decided = Some((ts, prepared))` that got as far as voting — log
+    /// `Decide{abort}` on the first `prepared` participants and the
+    /// home node. Compensations land **before** that node's abort
+    /// record, so a recovery boundary at the Decide always covers
+    /// them. Clause rollbacks pass `None`: presumed abort leaves no
+    /// 2PC trace.
+    fn abort_cross(&self, hn: usize, parts: &[Participant], decided: Option<(u64, usize)>) {
+        for (i, p) in parts.iter().enumerate() {
+            let rdb = &self.nodes[p.node].db;
+            for (rel, rid, before) in p.ops.iter().rev() {
+                let ok = rdb.heaps.for_relation(*rel).update(&rdb.bm, *rid, before);
+                assert!(ok, "participant compensation must land");
             }
-            if txns
-                .last_mut()
-                .expect("context open")
-                .lock(key, mode)
-                .is_err()
-            {
-                return None; // drop releases every granted lock
+            rdb.undo.abort(p.token, &p.keys);
+            if let Some((ts, _)) = decided.filter(|&(_, prepared)| i < prepared) {
+                self.msg(p.node, MsgKind::Decide);
+                let _ = rdb.bm.log_decide(ts, false);
+                self.abort_decides.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Some(txns)
-    }
-
-    /// The participant record for `node`, opening its undo token on
-    /// first touch.
-    fn participant<'p>(&self, parts: &'p mut Vec<Participant>, node: usize) -> &'p mut Participant {
-        if let Some(i) = parts.iter().position(|p| p.node == node) {
-            return &mut parts[i];
+        let h = &self.nodes[hn].db;
+        h.abort_write();
+        if let Some((ts, _)) = decided {
+            let _ = h.bm.log_decide(ts, false);
+            self.abort_decides.fetch_add(1, Ordering::Relaxed);
         }
-        let token = self.nodes[node].db.undo.begin();
-        parts.push(Participant {
-            node,
-            token,
-            keys: Vec::new(),
-            ops: Vec::new(),
-        });
-        parts.last_mut().expect("just pushed")
     }
 
-    /// One remote row update inside a cross-node transaction: record
-    /// the pre-image in the owning node's undo store (version chain +
-    /// compensation list), then write the live bytes.
-    fn participant_update(
+    /// A New-Order routed across the cluster with no logical locks
+    /// (`txns::new_order` on the cluster's placement): the order
+    /// lands on the home node; each line's item is read from its owning
+    /// node and each line's stock row is updated on its supplying node
+    /// (remote rows through a participant record). Returns
+    /// `Ok(committed)` or the clause 2.4.1.4 rollback.
+    ///
+    /// # Errors
+    /// [`NewOrderAborted`] when a line names an unused item; every
+    /// prior write (home and remote) is compensated first.
+    pub fn new_order_cluster(
         &self,
-        p: &mut Participant,
+        w: u64,
+        d: u64,
+        c: u64,
+        lines: &[OrderLineReq],
+    ) -> Result<bool, NewOrderAborted> {
+        txns::new_order(&Routed::unlocked(self), w, d, c, lines).map(|placed| placed.is_some())
+    }
+
+    /// A Payment routed across the cluster with no logical locks
+    /// (`txns::payment` on the cluster's placement): warehouse/district
+    /// ytd and the history row land on the home node, the customer
+    /// update on the customer's node (a 2PC participant when remote).
+    /// Returns whether the transaction committed.
+    pub fn payment_cluster(
+        &self,
+        w: u64,
+        d: u64,
+        cw: u64,
+        cd: u64,
+        selector: CustomerSelector,
+        amount: f64,
+    ) -> bool {
+        txns::payment(&Routed::unlocked(self), w, d, cw, cd, selector, amount).is_some()
+    }
+
+    /// Runs `transactions` across `terminals` threads against the
+    /// cluster (logical locks on, like the parallel driver). Each call
+    /// creates one lock manager per node, reporting to that node's
+    /// `db.obs()` as attached at this moment — like
+    /// [`ParallelDriver::run`](crate::ParallelDriver::run), concurrent
+    /// calls on one cluster do not see each other's locks.
+    #[must_use]
+    pub fn run(&self, terminals: u64, transactions: u64, seed: u64) -> ClusterReport {
+        let lms = self
+            .nodes
+            .iter()
+            .map(|node| lock_manager(node.db.obs()))
+            .collect();
+        self.run_inner(terminals, transactions, seed, lms)
+    }
+
+    /// Runs `transactions` on one terminal with no logical locks — the
+    /// deterministic serial driver the crash sweep and the 1-node
+    /// equivalence tests build on.
+    #[must_use]
+    pub fn run_serial(&self, transactions: u64, seed: u64) -> ClusterReport {
+        self.run_inner(1, transactions, seed, Vec::new())
+    }
+
+    fn run_inner(
+        &self,
+        terminals: u64,
+        transactions: u64,
+        seed: u64,
+        lms: Vec<LockManager>,
+    ) -> ClusterReport {
+        let inbox0: Vec<[u64; MSG_KINDS]> = self
+            .nodes
+            .iter()
+            .map(|node| std::array::from_fn(|i| node.inbox[i].load(Ordering::Relaxed)))
+            .collect();
+        let (p0, c0, a0) = self.two_pc_counts();
+        let seats = even_seats(self.cfg.driver, terminals.max(1), transactions, seed);
+        let (tallies, elapsed) = run_terminals(&Routed { cl: self, lms }, &seats, None);
+        let mut report = ClusterReport {
+            per_node: vec![NodeReport::default(); self.nodes.len()],
+            elapsed,
+            ..ClusterReport::default()
+        };
+        for tally in &tallies {
+            report.absorb(tally);
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            for (m, slot) in report.per_node[i].msgs.iter_mut().enumerate() {
+                *slot = node.inbox[m].load(Ordering::Relaxed) - inbox0[i][m];
+            }
+        }
+        let (p1, c1, a1) = self.two_pc_counts();
+        report.prepares = p1 - p0;
+        report.commit_decides = c1 - c0;
+        report.abort_decides = a1 - a0;
+        report
+    }
+}
+
+/// The cluster as the executor sees it: warehouses partitioned across
+/// the nodes, items per [`ItemPlacement`], cross-node commits through
+/// presumed-abort 2PC.
+struct Routed<'a> {
+    cl: &'a Cluster,
+    /// One lock manager per node; empty = no logical locks.
+    lms: Vec<LockManager>,
+}
+
+impl<'a> Routed<'a> {
+    fn unlocked(cl: &'a Cluster) -> Self {
+        Self {
+            cl,
+            lms: Vec::new(),
+        }
+    }
+}
+
+impl Placement for Routed<'_> {
+    type Parts = Vec<Participant>;
+
+    fn nodes(&self) -> usize {
+        self.cl.nodes.len()
+    }
+    fn warehouses(&self) -> u64 {
+        self.cl.total_warehouses()
+    }
+    fn locate(&self, w: u64) -> (usize, u64) {
+        (self.cl.node_of(w), self.cl.local_w(w))
+    }
+    fn item_node(&self, home: usize, i: u64) -> usize {
+        self.cl.item_node(home, i)
+    }
+    fn db(&self, node: usize) -> &TpccDb {
+        &self.cl.nodes[node].db
+    }
+    fn lm(&self, node: usize) -> Option<&LockManager> {
+        self.lms.get(node)
+    }
+    /// Lock priorities and 2PC ids draw from one cluster-wide counter.
+    fn draw_ts(&self) -> Ts {
+        self.cl.next_ts.fetch_add(1, Ordering::Relaxed) + 1
+    }
+    fn msg(&self, to: usize, kind: MsgKind) {
+        self.cl.msg(to, kind);
+    }
+
+    /// One remote row update inside a cross-node transaction: open the
+    /// node's participant record (and undo token) on first touch,
+    /// record the pre-image in the owning node's undo store (version
+    /// chain + compensation list), then write the live bytes.
+    fn remote_update(
+        &self,
+        parts: &mut Vec<Participant>,
+        node: usize,
         rel: Relation,
         rid: RecordId,
         before: Vec<u8>,
         after: &[u8],
     ) {
-        let db = &self.nodes[p.node].db;
+        let db = self.db(node);
+        let i = parts
+            .iter()
+            .position(|p| p.node == node)
+            .unwrap_or_else(|| {
+                parts.push(Participant {
+                    node,
+                    token: db.undo.begin(),
+                    keys: Vec::new(),
+                    ops: Vec::new(),
+                });
+                parts.len() - 1
+            });
+        let p = &mut parts[i];
         let heap = db.heaps.for_relation(rel);
         let key: VersionKey = (heap.file(), rid.to_u64());
         db.undo.record(p.token, key, Some(&before));
@@ -426,348 +553,50 @@ impl Cluster {
     /// node wrote, presumed-abort 2PC otherwise. Returns whether the
     /// transaction committed (`false` = a vote or the coordinator's
     /// decide failed durably and everything was rolled back).
-    fn commit_cross(&self, hn: usize, ts: u64, parts: Vec<Participant>) -> bool {
-        let h = &self.nodes[hn].db;
+    fn commit(&self, hn: usize, parts: Vec<Participant>) -> bool {
+        let cl = self.cl;
+        let h = &cl.nodes[hn].db;
         if parts.is_empty() {
             // item-only cross traffic (partitioned reads) needs no 2PC
             h.commit();
             return true;
         }
-        self.coordinators
+        let ts = self.draw_ts();
+        cl.coordinators
             .lock()
             .expect("coordinator map")
             .insert(ts, hn);
         // phase 1: every participant votes by durably logging Prepare
-        let mut prepared = 0;
-        for p in &parts {
-            self.msg(p.node, MsgKind::Prepare);
-            self.prepares.fetch_add(1, Ordering::Relaxed);
-            if !self.nodes[p.node].db.bm.log_prepare(ts) {
-                self.abort_cross(hn, ts, &parts, prepared, true);
+        for (prepared, p) in parts.iter().enumerate() {
+            cl.msg(p.node, MsgKind::Prepare);
+            cl.prepares.fetch_add(1, Ordering::Relaxed);
+            if !cl.nodes[p.node].db.bm.log_prepare(ts) {
+                cl.abort_cross(hn, &parts, Some((ts, prepared)));
                 return false;
             }
-            prepared += 1;
         }
         // commit point: the coordinator's durable Decide{commit}
         if !h.bm.log_decide(ts, true) {
-            self.abort_cross(hn, ts, &parts, prepared, true);
+            cl.abort_cross(hn, &parts, Some((ts, parts.len())));
             return false;
         }
-        self.commit_decides.fetch_add(1, Ordering::Relaxed);
+        cl.commit_decides.fetch_add(1, Ordering::Relaxed);
         h.finish_write();
         // phase 2: deliver the decision; a participant's dropped Decide
         // leaves an in-doubt Prepare that recovery resolves against the
         // coordinator's log
         for p in &parts {
-            self.msg(p.node, MsgKind::Decide);
-            let rdb = &self.nodes[p.node].db;
+            cl.msg(p.node, MsgKind::Decide);
+            let rdb = &cl.nodes[p.node].db;
             let _ = rdb.bm.log_decide(ts, true);
             rdb.undo.commit(p.token, &p.keys);
         }
         true
     }
 
-    /// Rolls a cross-node transaction back: compensate each
-    /// participant's writes in reverse, then (when `log_decides`) log
-    /// `Decide{abort}` on the first `prepared` participants and the
-    /// home node. Compensations land **before** that node's abort
-    /// record, so a recovery boundary at the Decide always covers
-    /// them. Clause rollbacks pass `log_decides = false`: presumed
-    /// abort leaves no 2PC trace.
-    fn abort_cross(
-        &self,
-        hn: usize,
-        ts: u64,
-        parts: &[Participant],
-        prepared: usize,
-        log_decides: bool,
-    ) {
-        for (i, p) in parts.iter().enumerate() {
-            let rdb = &self.nodes[p.node].db;
-            for (rel, rid, before) in p.ops.iter().rev() {
-                let ok = rdb.heaps.for_relation(*rel).update(&rdb.bm, *rid, before);
-                assert!(ok, "participant compensation must land");
-            }
-            rdb.undo.abort(p.token, &p.keys);
-            if log_decides && i < prepared {
-                self.msg(p.node, MsgKind::Decide);
-                let _ = rdb.bm.log_decide(ts, false);
-                self.abort_decides.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let h = &self.nodes[hn].db;
-        h.abort_write();
-        if log_decides {
-            let _ = h.bm.log_decide(ts, false);
-            self.abort_decides.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A cross-node New-Order: the order itself lands on the home
-    /// node; each line's item is read from its owning node and each
-    /// line's stock row is updated on its supplying node (remote rows
-    /// through a participant record). Returns `Ok(committed)` or the
-    /// clause 2.4.1.4 rollback.
-    ///
-    /// # Errors
-    /// [`NewOrderAborted`] when a line names an unused item; every
-    /// prior write (home and remote) is compensated first.
-    pub fn new_order_cluster(
-        &self,
-        w: u64,
-        d: u64,
-        c: u64,
-        lines: &[OrderLineReq],
-    ) -> Result<bool, NewOrderAborted> {
-        assert!(!lines.is_empty(), "an order needs at least one line");
-        let hn = self.node_of(w);
-        let lw = self.local_w(w);
-        let h = &self.nodes[hn].db;
-        let ts = self.draw_ts();
-        let mut parts: Vec<Participant> = Vec::new();
-
-        h.begin_write();
-        // home: warehouse tax, district bump, customer discount
-        let w_rid = h
-            .pk_lookup(Relation::Warehouse, keys::warehouse(lw))
-            .expect("warehouse exists");
-        let warehouse = WarehouseRec::decode(&h.heaps.warehouse.get(&h.bm, w_rid).expect("live"));
-        let d_rid = h
-            .pk_lookup(Relation::District, keys::district(lw, d))
-            .expect("district exists");
-        let mut district = DistrictRec::decode(&h.heaps.district.get(&h.bm, d_rid).expect("live"));
-        let o_id = u64::from(district.next_o_id);
-        district.next_o_id += 1;
-        h.heap_update(Relation::District, d_rid, &district.encode());
-        let c_rid = h
-            .pk_lookup(Relation::Customer, keys::customer(lw, d, c))
-            .expect("customer exists");
-        let customer = CustomerRec::decode(&h.heaps.customer.get(&h.bm, c_rid).expect("live"));
-
-        // home: order + new-order rows under local keys
-        let entry_d = h.tick();
-        let all_local = lines.iter().all(|l| l.supply_warehouse == w);
-        let order = OrderRec {
-            o_id: o_id as u32,
-            c_id: c as u32,
-            entry_d,
-            carrier_id: 0,
-            ol_cnt: lines.len() as u8,
-            all_local: u8::from(all_local),
-        };
-        let o_rid = h.heap_insert(Relation::Order, &order.encode());
-        h.index_insert(TreeId::Order, keys::order(lw, d, o_id), o_rid.to_u64());
-        h.last_order_upsert(keys::last_order(lw, d, c), o_id);
-        let no = NewOrderRec {
-            o_id: o_id as u32,
-            d_id: d as u16,
-            w_id: lw as u16,
-        };
-        let no_rid = h.heap_insert(Relation::NewOrder, &no.encode());
-        h.index_insert(TreeId::NewOrder, keys::order(lw, d, o_id), no_rid.to_u64());
-
-        let mut subtotal = 0.0;
-        for (number, line) in lines.iter().enumerate() {
-            if line.item >= self.node_cfg.items {
-                // clause 2.4.1.4, discovered at the item read: unwind
-                // home and remote writes, leave no 2PC trace
-                self.abort_cross(hn, ts, &parts, 0, false);
-                return Err(NewOrderAborted { bad_line: number });
-            }
-            // item read on its owning node
-            let own = self.item_node(hn, line.item);
-            if own != hn {
-                self.msg(own, MsgKind::ItemRead);
-            }
-            let odb = &self.nodes[own].db;
-            let i_rid = odb
-                .pk_lookup(Relation::Item, keys::item(line.item))
-                .expect("item exists");
-            let item = ItemRec::decode(&odb.heaps.item.get(&odb.bm, i_rid).expect("live"));
-
-            // stock read + update on the supplying node
-            let sn = self.node_of(line.supply_warehouse);
-            let ls = self.local_w(line.supply_warehouse);
-            let dist_info;
-            if sn == hn {
-                let s_rid = h
-                    .pk_lookup(Relation::Stock, keys::stock(ls, line.item))
-                    .expect("stock exists");
-                let mut stock = StockRec::decode(&h.heaps.stock.get(&h.bm, s_rid).expect("live"));
-                apply_stock_update(&mut stock, line.quantity, line.supply_warehouse != w);
-                dist_info = stock.dist_info[d as usize].clone();
-                h.heap_update(Relation::Stock, s_rid, &stock.encode());
-            } else {
-                self.msg(sn, MsgKind::StockRead);
-                let rdb = &self.nodes[sn].db;
-                let s_rid = rdb
-                    .pk_lookup(Relation::Stock, keys::stock(ls, line.item))
-                    .expect("stock exists");
-                let before = rdb.heaps.stock.get(&rdb.bm, s_rid).expect("live");
-                let mut stock = StockRec::decode(&before);
-                apply_stock_update(&mut stock, line.quantity, true);
-                dist_info = stock.dist_info[d as usize].clone();
-                let after = stock.encode();
-                self.msg(sn, MsgKind::StockWrite);
-                let p = self.participant(&mut parts, sn);
-                self.participant_update(p, Relation::Stock, s_rid, before, &after);
-            }
-
-            let amount = f64::from(line.quantity) * item.price;
-            subtotal += amount;
-            let ol = OrderLineRec {
-                o_id: o_id as u32,
-                d_id: d as u16,
-                w_id: lw as u16,
-                number: number as u16,
-                i_id: line.item as u32,
-                supply_w_id: line.supply_warehouse as u16,
-                delivery_d: 0,
-                quantity: line.quantity,
-                amount,
-                dist_info,
-            };
-            let ol_rid = h.heap_insert(Relation::OrderLine, &ol.encode());
-            h.index_insert(
-                TreeId::OrderLine,
-                keys::order_line(lw, d, o_id, number as u64),
-                ol_rid.to_u64(),
-            );
-        }
-        let _total = subtotal * (1.0 - customer.discount) * (1.0 + warehouse.tax + district.tax);
-        Ok(self.commit_cross(hn, ts, parts))
-    }
-
-    /// A cross-node Payment: warehouse/district ytd and the history
-    /// row land on the home node, the customer update on the remote
-    /// customer node (a 2PC participant). Returns whether the
-    /// transaction committed.
-    pub fn payment_cluster(
-        &self,
-        w: u64,
-        d: u64,
-        cw: u64,
-        cd: u64,
-        selector: CustomerSelector,
-        amount: f64,
-    ) -> bool {
-        let hn = self.node_of(w);
-        let lw = self.local_w(w);
-        let cn = self.node_of(cw);
-        let lcw = self.local_w(cw);
-        debug_assert_ne!(cn, hn, "same-node payments take the plain path");
-        let h = &self.nodes[hn].db;
-        let ts = self.draw_ts();
-        let mut parts: Vec<Participant> = Vec::new();
-
-        h.begin_write();
-        let w_rid = h
-            .pk_lookup(Relation::Warehouse, keys::warehouse(lw))
-            .expect("warehouse exists");
-        let mut warehouse =
-            WarehouseRec::decode(&h.heaps.warehouse.get(&h.bm, w_rid).expect("live"));
-        warehouse.ytd += amount;
-        h.heap_update(Relation::Warehouse, w_rid, &warehouse.encode());
-        let d_rid = h
-            .pk_lookup(Relation::District, keys::district(lw, d))
-            .expect("district exists");
-        let mut district = DistrictRec::decode(&h.heaps.district.get(&h.bm, d_rid).expect("live"));
-        district.ytd += amount;
-        h.heap_update(Relation::District, d_rid, &district.encode());
-
-        // remote customer: the selection touches `rows` rows (3ish by
-        // name), each a message, plus one write-back — the model's
-        // remote-payment call counts
-        let rdb = &self.nodes[cn].db;
-        let (c_rid, _, rows) = rdb.resolve_customer(lcw, cd, selector);
-        for _ in 0..rows {
-            self.msg(cn, MsgKind::CustomerRead);
-        }
-        let before = rdb.heaps.customer.get(&rdb.bm, c_rid).expect("live");
-        let mut customer = CustomerRec::decode(&before);
-        customer.balance -= amount;
-        customer.ytd_payment += amount;
-        customer.payment_cnt += 1;
-        let after = customer.encode();
-        self.msg(cn, MsgKind::CustomerWrite);
-        let p = self.participant(&mut parts, cn);
-        self.participant_update(p, Relation::Customer, c_rid, before, &after);
-
-        let date = h.tick();
-        let history = HistoryRec {
-            c_id: customer.c_id,
-            c_d_id: cd as u16,
-            c_w_id: cw as u16,
-            d_id: d as u16,
-            w_id: lw as u16,
-            date,
-            amount,
-            data: "payment".into(),
-        };
-        h.heap_insert(Relation::History, &history.encode());
-        self.commit_cross(hn, ts, parts)
-    }
-
-    /// Runs `transactions` across `terminals` threads against the
-    /// cluster (logical locks on, like the parallel driver).
-    #[must_use]
-    pub fn run(&self, terminals: u64, transactions: u64, seed: u64) -> ClusterReport {
-        self.run_inner(terminals, transactions, seed, true)
-    }
-
-    /// Runs `transactions` on one terminal with no logical locks — the
-    /// deterministic serial driver the crash sweep and the 1-node
-    /// equivalence tests build on.
-    #[must_use]
-    pub fn run_serial(&self, transactions: u64, seed: u64) -> ClusterReport {
-        self.run_inner(1, transactions, seed, false)
-    }
-
-    fn run_inner(
-        &self,
-        terminals: u64,
-        transactions: u64,
-        seed: u64,
-        use_locks: bool,
-    ) -> ClusterReport {
-        let terminals = terminals.max(1);
-        let n = self.nodes.len();
-        let inbox0: Vec<[u64; MSG_KINDS]> = self
-            .nodes
-            .iter()
-            .map(|node| std::array::from_fn(|i| node.inbox[i].load(Ordering::Relaxed)))
-            .collect();
-        let (p0, c0, a0) = self.two_pc_counts();
-        let per_thread = transactions / terminals;
-        let remainder = transactions % terminals;
-        let partials: Mutex<Vec<ClusterReport>> = Mutex::new(Vec::new());
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..terminals {
-                let share = per_thread + u64::from(t < remainder);
-                let partials = &partials;
-                scope.spawn(move || {
-                    let part =
-                        ClusterTerminal::new(self, terminal_seed(seed, t), use_locks).run(share);
-                    partials.lock().expect("partials").push(part);
-                });
-            }
-        });
-        let mut report = ClusterReport::sized(n);
-        report.elapsed = start.elapsed();
-        for part in partials.into_inner().expect("partials") {
-            report.absorb(&part);
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            for (m, slot) in report.per_node[i].msgs.iter_mut().enumerate() {
-                *slot = node.inbox[m].load(Ordering::Relaxed) - inbox0[i][m];
-            }
-        }
-        let (p1, c1, a1) = self.two_pc_counts();
-        report.prepares = p1 - p0;
-        report.commit_decides = c1 - c0;
-        report.abort_decides = a1 - a0;
-        report
+    /// A clause 2.4.1.4 rollback: presumed abort, no 2PC records.
+    fn abort(&self, home: usize, parts: Vec<Participant>) {
+        self.cl.abort_cross(home, &parts, None);
     }
 }
 
@@ -819,13 +648,6 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    fn sized(nodes: usize) -> Self {
-        Self {
-            per_node: vec![NodeReport::default(); nodes],
-            ..Self::default()
-        }
-    }
-
     /// Total transactions completed.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -853,354 +675,22 @@ impl ClusterReport {
             .sum()
     }
 
-    fn absorb(&mut self, other: &ClusterReport) {
+    fn absorb(&mut self, tally: &Tally) {
         for t in 0..5 {
-            self.executed[t] += other.executed[t];
-            self.retries[t] += other.retries[t];
-            self.latency_ns[t].merge(&other.latency_ns[t]);
+            self.executed[t] += tally.executed[t];
+            self.retries[t] += tally.retries[t];
         }
-        self.new_orders += other.new_orders;
-        self.deliveries += other.deliveries;
-        self.rollbacks += other.rollbacks;
-        self.two_pc_aborts += other.two_pc_aborts;
-        self.remote_latency_ns.merge(&other.remote_latency_ns);
-        self.remote_new_orders += other.remote_new_orders;
-        self.remote_payments += other.remote_payments;
-        for (mine, theirs) in self.per_node.iter_mut().zip(&other.per_node) {
+        tally.merge_latency(&mut self.latency_ns);
+        self.new_orders += tally.new_orders;
+        self.deliveries += tally.deliveries;
+        self.rollbacks += tally.rollbacks;
+        self.two_pc_aborts += tally.two_pc_aborts;
+        self.remote_latency_ns.merge(&tally.remote_latency_ns);
+        self.remote_new_orders += tally.remote_new_orders;
+        self.remote_payments += tally.remote_payments;
+        for (mine, theirs) in self.per_node.iter_mut().zip(&tally.per_node) {
             mine.executed += theirs.executed;
             mine.new_orders += theirs.new_orders;
-        }
-    }
-}
-
-/// The home warehouse a transaction input is routed by.
-fn home_w(input: &TxnInput) -> u64 {
-    match input {
-        TxnInput::NewOrder { w, .. }
-        | TxnInput::Payment { w, .. }
-        | TxnInput::OrderStatus { w, .. }
-        | TxnInput::Delivery { w, .. }
-        | TxnInput::StockLevel { w, .. } => *w,
-    }
-}
-
-/// One terminal thread driving the cluster: draws global-warehouse
-/// inputs, routes each to its home node, and takes the cross-node path
-/// only when a transaction actually leaves its home node — a 1-node
-/// cluster therefore executes exactly the single-node code.
-struct ClusterTerminal<'a> {
-    cl: &'a Cluster,
-    gen: InputGen,
-    use_locks: bool,
-    report: ClusterReport,
-}
-
-impl<'a> ClusterTerminal<'a> {
-    fn new(cl: &'a Cluster, seed: u64, use_locks: bool) -> Self {
-        let gen = InputGen::with_scale(
-            cl.cfg.driver,
-            seed,
-            cl.total_warehouses(),
-            cl.node_cfg.customers_per_district,
-            cl.node_cfg.items,
-            cl.node_cfg.name_count(),
-        );
-        Self {
-            cl,
-            gen,
-            use_locks,
-            report: ClusterReport::sized(cl.nodes.len()),
-        }
-    }
-
-    fn run(mut self, transactions: u64) -> ClusterReport {
-        for _ in 0..transactions {
-            let input = self.gen.next_input();
-            let t = input.type_index();
-            let hn = self.cl.node_of(home_w(&input));
-            self.report.executed[t] += 1;
-            self.report.per_node[hn].executed += 1;
-            let t0 = Instant::now();
-            let remote = self.execute(input);
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.report.latency_ns[t].record(ns);
-            if remote {
-                self.report.remote_latency_ns.record(ns);
-            }
-        }
-        self.report
-    }
-
-    /// Acquires `lockset` (sorted by `(node, key)`), then runs `body`.
-    /// Wounded attempts retry with the original cluster timestamp.
-    fn with_locks<R>(
-        &mut self,
-        t: usize,
-        lockset: &[(usize, LockKey, LockMode)],
-        body: impl Fn() -> R,
-    ) -> R {
-        if !self.use_locks {
-            return body();
-        }
-        let ts = self.cl.draw_ts();
-        loop {
-            match self.cl.acquire(ts, lockset) {
-                Some(_guards) => return body(),
-                None => self.report.retries[t] += 1,
-            }
-        }
-    }
-
-    /// Executes one routed transaction; returns whether it touched a
-    /// remote node.
-    fn execute(&mut self, input: TxnInput) -> bool {
-        match input {
-            TxnInput::NewOrder { w, d, c, lines } => {
-                let cl = self.cl;
-                let hn = cl.node_of(w);
-                let lw = cl.local_w(w);
-                let items = cl.node_cfg.items;
-                let cross = lines.iter().filter(|l| l.item < items).any(|l| {
-                    cl.node_of(l.supply_warehouse) != hn || cl.item_node(hn, l.item) != hn
-                });
-                if cross {
-                    self.report.remote_new_orders += 1;
-                    let mut lockset = vec![
-                        (
-                            hn,
-                            k(space::WAREHOUSE, keys::warehouse(lw)),
-                            LockMode::Shared,
-                        ),
-                        (
-                            hn,
-                            k(space::DISTRICT, keys::district(lw, d)),
-                            LockMode::Exclusive,
-                        ),
-                        (
-                            hn,
-                            k(space::CUSTOMER, keys::customer(lw, d, c)),
-                            LockMode::Exclusive,
-                        ),
-                    ];
-                    for line in lines.iter().filter(|l| l.item < items) {
-                        let sn = cl.node_of(line.supply_warehouse);
-                        let ls = cl.local_w(line.supply_warehouse);
-                        lockset.push((
-                            sn,
-                            k(space::STOCK, keys::stock(ls, line.item)),
-                            LockMode::Exclusive,
-                        ));
-                    }
-                    lockset.sort_by_key(|&(n, key, _)| (n, key));
-                    lockset.dedup_by_key(|&mut (n, key, _)| (n, key));
-                    let lines = &lines;
-                    let placed =
-                        self.with_locks(0, &lockset, || cl.new_order_cluster(w, d, c, lines));
-                    match placed {
-                        Ok(true) => {
-                            self.report.new_orders += 1;
-                            self.report.per_node[hn].new_orders += 1;
-                        }
-                        Ok(false) => self.report.two_pc_aborts += 1,
-                        Err(_) => self.report.rollbacks += 1,
-                    }
-                    true
-                } else {
-                    // everything is home: local ids, the single-node path
-                    let local: Vec<OrderLineReq> = lines
-                        .iter()
-                        .map(|l| OrderLineReq {
-                            item: l.item,
-                            supply_warehouse: cl.local_w(l.supply_warehouse),
-                            quantity: l.quantity,
-                        })
-                        .collect();
-                    let mut lockset = vec![
-                        (
-                            hn,
-                            k(space::WAREHOUSE, keys::warehouse(lw)),
-                            LockMode::Shared,
-                        ),
-                        (
-                            hn,
-                            k(space::DISTRICT, keys::district(lw, d)),
-                            LockMode::Exclusive,
-                        ),
-                        (
-                            hn,
-                            k(space::CUSTOMER, keys::customer(lw, d, c)),
-                            LockMode::Exclusive,
-                        ),
-                    ];
-                    for line in local.iter().filter(|l| l.item < items) {
-                        lockset.push((
-                            hn,
-                            k(space::STOCK, keys::stock(line.supply_warehouse, line.item)),
-                            LockMode::Exclusive,
-                        ));
-                    }
-                    lockset.sort_by_key(|&(n, key, _)| (n, key));
-                    lockset.dedup_by_key(|&mut (n, key, _)| (n, key));
-                    let h = cl.node_db(hn);
-                    let local = &local;
-                    let placed =
-                        self.with_locks(0, &lockset, || h.new_order_checked(lw, d, c, local));
-                    if placed.is_ok() {
-                        self.report.new_orders += 1;
-                        self.report.per_node[hn].new_orders += 1;
-                    } else {
-                        self.report.rollbacks += 1;
-                    }
-                    false
-                }
-            }
-            TxnInput::Payment {
-                w,
-                d,
-                cw,
-                cd,
-                selector,
-                amount,
-            } => {
-                let cl = self.cl;
-                let hn = cl.node_of(w);
-                let lw = cl.local_w(w);
-                let cn = cl.node_of(cw);
-                let lcw = cl.local_w(cw);
-                if cn == hn {
-                    let h = cl.node_db(hn);
-                    let c_id = h.resolve_customer_id(lcw, cd, selector);
-                    let mut lockset = vec![
-                        (
-                            hn,
-                            k(space::WAREHOUSE, keys::warehouse(lw)),
-                            LockMode::Exclusive,
-                        ),
-                        (
-                            hn,
-                            k(space::DISTRICT, keys::district(lw, d)),
-                            LockMode::Exclusive,
-                        ),
-                        (
-                            hn,
-                            k(space::CUSTOMER, keys::customer(lcw, cd, c_id)),
-                            LockMode::Exclusive,
-                        ),
-                    ];
-                    lockset.sort_by_key(|&(n, key, _)| (n, key));
-                    self.with_locks(1, &lockset, || h.payment(lw, d, lcw, cd, selector, amount));
-                    false
-                } else {
-                    self.report.remote_payments += 1;
-                    // by-name resolution is stable (immutable names), so
-                    // the remote customer to lock is known up front
-                    let c_id = cl.node_db(cn).resolve_customer_id(lcw, cd, selector);
-                    let mut lockset = vec![
-                        (
-                            hn,
-                            k(space::WAREHOUSE, keys::warehouse(lw)),
-                            LockMode::Exclusive,
-                        ),
-                        (
-                            hn,
-                            k(space::DISTRICT, keys::district(lw, d)),
-                            LockMode::Exclusive,
-                        ),
-                        (
-                            cn,
-                            k(space::CUSTOMER, keys::customer(lcw, cd, c_id)),
-                            LockMode::Exclusive,
-                        ),
-                    ];
-                    lockset.sort_by_key(|&(n, key, _)| (n, key));
-                    self.with_locks(1, &lockset, || {
-                        cl.payment_cluster(w, d, cw, cd, selector, amount)
-                    });
-                    true
-                }
-            }
-            TxnInput::OrderStatus { w, d, selector } => {
-                // always home (the generator keys Order-Status to the
-                // terminal's warehouse); snapshot read, zero locks
-                let h = self.cl.node_db(self.cl.node_of(w));
-                let lw = self.cl.local_w(w);
-                let snap = h.snapshot();
-                h.order_status_at(&snap, lw, d, selector);
-                false
-            }
-            TxnInput::Delivery { w, carrier } => {
-                let hn = self.cl.node_of(w);
-                let lw = self.cl.local_w(w);
-                for d in 0..10 {
-                    self.deliver_district(hn, lw, d, carrier);
-                }
-                false
-            }
-            TxnInput::StockLevel { w, d, threshold } => {
-                let h = self.cl.node_db(self.cl.node_of(w));
-                let lw = self.cl.local_w(w);
-                let snap = h.snapshot();
-                h.stock_level_at(&snap, lw, d, threshold);
-                false
-            }
-        }
-    }
-
-    /// One per-district delivery sub-transaction on the home node,
-    /// mirroring the parallel driver's incremental lock protocol.
-    fn deliver_district(&mut self, hn: usize, lw: u64, d: u64, carrier: u8) {
-        let h = self.cl.node_db(hn);
-        if !self.use_locks {
-            if h.peek_oldest_pending(lw, d).is_none() {
-                return; // empty queue: the spec's skipped delivery
-            }
-            h.begin_write();
-            let delivered = h.delivery_district(lw, d, carrier);
-            h.commit();
-            self.report.deliveries += u64::from(delivered.is_some());
-            return;
-        }
-        let lm = &self.cl.nodes[hn].lm;
-        let mut ts: Option<Ts> = None;
-        loop {
-            let mut txn = match ts {
-                None => lm.begin_at(self.cl.draw_ts()),
-                Some(t0) => lm.begin_at(t0),
-            };
-            ts = Some(txn.ts());
-            if txn
-                .lock(
-                    k(space::DISTRICT, keys::district(lw, d)),
-                    LockMode::Exclusive,
-                )
-                .is_err()
-            {
-                self.report.retries[3] += 1;
-                continue;
-            }
-            let Some((o_id, c_id)) = h.peek_oldest_pending(lw, d) else {
-                return;
-            };
-            let granted = txn
-                .lock(
-                    k(space::ORDER, keys::order(lw, d, o_id)),
-                    LockMode::Exclusive,
-                )
-                .and_then(|()| {
-                    txn.lock(
-                        k(space::CUSTOMER, keys::customer(lw, d, c_id)),
-                        LockMode::Exclusive,
-                    )
-                });
-            if granted.is_err() {
-                self.report.retries[3] += 1;
-                continue;
-            }
-            h.begin_write();
-            let delivered = h.delivery_district(lw, d, carrier);
-            h.commit();
-            self.report.deliveries += u64::from(delivered.is_some());
-            return;
         }
     }
 }
@@ -1353,15 +843,8 @@ pub fn two_pc_crash_sweep(cfg: &TwoPcSweepConfig) -> TwoPcSweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::DriverConfig;
-    use crate::parallel::ParallelDriver;
-
-    fn mvcc_small() -> DbConfig {
-        DbConfig {
-            mvcc: true,
-            ..DbConfig::small()
-        }
-    }
+    use crate::keys;
+    use crate::records::{CustomerRec, StockRec};
 
     /// Satellite 1, executed half: at 1 node the router never
     /// classifies anything as remote, under either placement.
@@ -1382,7 +865,7 @@ mod tests {
                     assert!(!cl.is_remote(w, other));
                 }
             }
-            for i in 0..cl.node_cfg.items {
+            for i in 0..cl.node_db(0).config().items {
                 assert_eq!(
                     cl.item_node(0, i),
                     0,
@@ -1398,36 +881,6 @@ mod tests {
             assert_eq!(report.commit_decides, 0);
             assert!(cl.consistent());
         }
-    }
-
-    /// Satellite 1, the strong form: a 1-node 1-terminal cluster run
-    /// is byte-identical to the single-node parallel driver on the
-    /// same seed — the cluster layer adds exactly nothing at N = 1.
-    #[test]
-    fn one_node_cluster_matches_the_parallel_driver_byte_for_byte() {
-        let dcfg = DriverConfig::default().with_spec_rollbacks();
-        let cfg = ClusterConfig {
-            driver: dcfg,
-            ..ClusterConfig::small(1)
-        };
-        let cl = Cluster::new(cfg, 51);
-        let plain_db = loader::load(mvcc_small(), 51);
-
-        let cluster_report = cl.run(1, 600, 77);
-        let plain_report = ParallelDriver::new(dcfg, 1, 77).run(&plain_db, 600);
-
-        assert_eq!(cluster_report.executed, plain_report.executed);
-        assert_eq!(cluster_report.new_orders, plain_report.new_orders);
-        assert_eq!(cluster_report.deliveries, plain_report.deliveries);
-        assert_eq!(cluster_report.rollbacks, plain_report.rollbacks);
-        assert_eq!(cluster_report.retries, [0; 5]);
-
-        cl.node_db(0).flush();
-        plain_db.flush();
-        assert!(
-            cl.node_db(0).contents_equal(&plain_db),
-            "1-node cluster image diverges from the single-node driver"
-        );
     }
 
     /// Two nodes with remote traffic: the run completes, every node
@@ -1472,6 +925,34 @@ mod tests {
         // replicated items: no item fetch ever crosses the network
         assert_eq!(cl.inbox_count(0, MsgKind::ItemRead), 0);
         assert_eq!(cl.inbox_count(1, MsgKind::ItemRead), 0);
+    }
+
+    /// Cluster terminals keep the series `ParallelDriver` terminals
+    /// keep, resolved from each node's `db.obs()` when the run starts —
+    /// so a recorder attached after construction (as the benchmark's
+    /// traced run does) sees the lock managers too.
+    #[test]
+    fn traced_run_records_lock_and_transaction_series() {
+        use crate::driver::TX_NAMES;
+        use tpcc_obs::{Label, MemoryRecorder, Obs};
+
+        let rec = Arc::new(MemoryRecorder::new());
+        let mut cl = Cluster::new(ClusterConfig::small(2), 21);
+        for n in 0..2 {
+            cl.node_db_mut(n).set_obs(Obs::new(rec.clone()));
+        }
+        let report = cl.run(2, 400, 22);
+        assert_eq!(report.total(), 400);
+        assert!(rec.counter_total("lock_acquires") > 0);
+        for (t, name) in TX_NAMES.into_iter().enumerate() {
+            let label = Label::Name(name);
+            assert_eq!(rec.counter_value("txn_executed", label), report.executed[t]);
+            assert_eq!(rec.counter_value("txn_retries", label), report.retries[t]);
+            let latency = rec.histogram("txn_latency_ns", label).expect("recorded");
+            assert_eq!(latency.count(), report.executed[t], "{name} latency");
+        }
+        assert_eq!(rec.counter_total("txn_executed"), report.total());
+        assert_eq!(rec.counter_total("txn_rollbacks"), report.rollbacks);
     }
 
     /// Partitioned items route reads to the owning node (figure 12's
@@ -1560,7 +1041,7 @@ mod tests {
                 quantity: 4,
             },
             OrderLineReq {
-                item: cl.node_cfg.items + 3, // …then the unused item
+                item: cl.node_db(0).config().items + 3, // …then the unused item
                 supply_warehouse: 0,
                 quantity: 1,
             },

@@ -57,7 +57,8 @@ pub struct DbConfig {
     /// transactions ([`TpccDb::order_status_at`],
     /// [`TpccDb::stock_level_at`]) run against a pinned snapshot with
     /// zero lock acquisitions, and `new_order_checked` rolls back via
-    /// a real undo-backed abort instead of validate-then-apply. See
+    /// a real undo-backed abort instead of deciding the rollback by the
+    /// item-id range before its first write. See
     /// `tpcc_storage::undo` and DESIGN.md §11.
     pub mvcc: bool,
 }
@@ -569,7 +570,7 @@ impl TpccDb {
     }
 
     /// Validates ids against the configured scale.
-    pub(crate) fn check_scale(&self, w: u64, d: u64, c: Option<u64>, i: Option<u64>) {
+    pub(crate) fn check_scale(&self, w: u64, d: u64, c: Option<u64>) {
         assert!(w < self.cfg.warehouses, "warehouse {w} beyond scale");
         assert!(d < 10, "district {d} beyond scale");
         if let Some(c) = c {
@@ -577,9 +578,6 @@ impl TpccDb {
                 c < self.cfg.customers_per_district,
                 "customer {c} beyond scale"
             );
-        }
-        if let Some(i) = i {
-            assert!(i < self.cfg.items, "item {i} beyond scale");
         }
     }
 }

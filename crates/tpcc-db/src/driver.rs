@@ -10,8 +10,9 @@
 
 use crate::db::TpccDb;
 use crate::telemetry::Telemetry;
+use crate::terminal::{OneNode, Shard, Terminal};
 use crate::txns::{CustomerSelector, OrderLineReq};
-use tpcc_obs::{CounterHandle, HistogramHandle, Label, MemoryRecorder, SnapshotWriter};
+use tpcc_obs::{MemoryRecorder, SnapshotWriter};
 use tpcc_rand::{NuRand, Xoshiro256};
 use tpcc_schema::relation::Relation;
 use tpcc_storage::BufferStats;
@@ -146,6 +147,17 @@ pub enum TxnInput {
 }
 
 impl TxnInput {
+    /// The (global) home warehouse the request is routed by.
+    pub(crate) fn home_warehouse(&self) -> u64 {
+        match self {
+            TxnInput::NewOrder { w, .. }
+            | TxnInput::Payment { w, .. }
+            | TxnInput::OrderStatus { w, .. }
+            | TxnInput::Delivery { w, .. }
+            | TxnInput::StockLevel { w, .. } => *w,
+        }
+    }
+
     /// Index into [`TX_NAMES`] / mix arrays.
     #[must_use]
     pub fn type_index(&self) -> usize {
@@ -321,7 +333,7 @@ impl InputGen {
 }
 
 /// Run summary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DriverReport {
     /// Transactions executed per type (mix order).
     pub executed: [u64; 5],
@@ -338,6 +350,16 @@ pub struct DriverReport {
 }
 
 impl DriverReport {
+    /// Fills in `db`'s buffer statistics as the run left them.
+    fn with_buffer_stats(mut self, db: &TpccDb) -> Self {
+        self.relation_stats = Relation::ALL
+            .iter()
+            .map(|&r| (r, db.relation_stats(r)))
+            .collect();
+        self.index_stats = db.index_stats();
+        self
+    }
+
     /// Miss ratio for one relation's heap accesses; NaN when that
     /// relation was never accessed (render as "n/a", don't compare).
     #[must_use]
@@ -349,7 +371,10 @@ impl DriverReport {
     }
 }
 
-/// Drives a database with randomized spec-shaped inputs.
+/// Drives a database with randomized spec-shaped inputs: one
+/// `terminal::Terminal` on the single-node placement, with no logical locks
+/// (the driver holds the database exclusively) and Delivery as the one
+/// ten-district transaction [`TpccDb::delivery`] defines.
 pub struct Driver {
     gen: InputGen,
 }
@@ -364,21 +389,22 @@ impl Driver {
     }
 
     /// Executes `transactions` mixed transactions. With an
-    /// observability handle attached to `db`, each transaction's
-    /// wall-clock latency lands in a per-type histogram
-    /// (`txn_latency_ns/<type>`) and per-type executed / rollback
-    /// counters are kept.
+    /// observability handle attached to `db`, per-type executed /
+    /// rollback counters are kept and each transaction's wall-clock
+    /// latency lands in a per-type histogram (`txn_latency_ns/<type>`)
+    /// when the call returns.
     pub fn run(&mut self, db: &mut TpccDb, transactions: u64) -> DriverReport {
-        self.run_observed(db, transactions, |_, _, _| Ok(()))
-            .expect("no-op sink cannot fail")
+        let mut report = DriverReport::default();
+        self.run_into(&mut report, db, transactions, None);
+        report.with_buffer_stats(db)
     }
 
     /// Like [`Driver::run`], but additionally emits a JSON-lines
-    /// metrics snapshot every `writer`-configured period: the driver
-    /// reports each completed transaction to `writer`, which snapshots
-    /// `recorder` on period boundaries. A final snapshot is always
-    /// written. Attach `recorder` to `db` (via [`TpccDb::set_obs`])
-    /// before calling, or the snapshots will be empty.
+    /// metrics snapshot every `writer`-configured period: the run is
+    /// executed one period at a time, and `writer` snapshots `recorder`
+    /// between periods. A final snapshot is always written. Attach
+    /// `recorder` to `db` (via [`TpccDb::set_obs`]) before calling, or
+    /// the snapshots will be empty.
     ///
     /// # Errors
     /// Propagates write errors from the snapshot sink.
@@ -389,10 +415,16 @@ impl Driver {
         recorder: &MemoryRecorder,
         writer: &mut SnapshotWriter<W>,
     ) -> std::io::Result<DriverReport> {
-        let report =
-            self.run_observed(db, transactions, |done, _, _| writer.tick(recorder, done))?;
+        let mut report = DriverReport::default();
+        let mut done = 0;
+        while done < transactions {
+            let period = writer.period().min(transactions - done);
+            self.run_into(&mut report, db, period, None);
+            done += period;
+            writer.tick(recorder, done)?;
+        }
         writer.finish(recorder, transactions)?;
-        Ok(report)
+        Ok(report.with_buffer_stats(db))
     }
 
     /// Like [`Driver::run`] with live windowed telemetry: each
@@ -407,89 +439,30 @@ impl Driver {
         transactions: u64,
         telemetry: &std::sync::Arc<Telemetry>,
     ) -> DriverReport {
-        let shard = telemetry.shard(0);
-        let report = self
-            .run_observed(db, transactions, |_, t, ns| {
-                shard.lock().expect("telemetry shard").record(t, ns);
-                telemetry.note_completion();
-                Ok(())
-            })
-            .expect("no-op sink cannot fail");
+        let mut report = DriverReport::default();
+        let shard = (telemetry.clone(), telemetry.shard(0));
+        self.run_into(&mut report, db, transactions, Some(shard));
         telemetry.finish();
-        report
+        report.with_buffer_stats(db)
     }
 
-    fn run_observed(
+    fn run_into(
         &mut self,
-        db: &mut TpccDb,
+        report: &mut DriverReport,
+        db: &TpccDb,
         transactions: u64,
-        mut after_each: impl FnMut(u64, usize, u64) -> std::io::Result<()>,
-    ) -> std::io::Result<DriverReport> {
-        // handles are resolved once; the per-transaction hot path is an
-        // atomic add / histogram record, not a name lookup
-        let obs = db.obs().clone();
-        let executed_c: [CounterHandle; 5] =
-            std::array::from_fn(|t| obs.counter_handle("txn_executed", Label::Name(TX_NAMES[t])));
-        let latency_h: [HistogramHandle; 5] = std::array::from_fn(|t| {
-            obs.histogram_handle("txn_latency_ns", Label::Name(TX_NAMES[t]))
-        });
-        let rollback_c = obs.counter_handle("txn_rollbacks", Label::Name(TX_NAMES[0]));
-        let trace = obs.trace_handle("txn");
-        let mut executed = [0u64; 5];
-        let mut new_orders = 0;
-        let mut deliveries = 0;
-        let mut rollbacks = 0;
-        for done in 1..=transactions {
-            let input = self.gen.next_input();
-            let t = input.type_index();
-            executed[t] += 1;
-            executed_c[t].add(1);
-            let t0 = std::time::Instant::now();
-            match input {
-                TxnInput::NewOrder { w, d, c, lines } => {
-                    if db.new_order_checked(w, d, c, &lines).is_ok() {
-                        new_orders += 1;
-                    } else {
-                        rollbacks += 1;
-                        rollback_c.add(1);
-                    }
-                }
-                TxnInput::Payment {
-                    w,
-                    d,
-                    cw,
-                    cd,
-                    selector,
-                    amount,
-                } => {
-                    let _ = db.payment(w, d, cw, cd, selector, amount);
-                }
-                TxnInput::OrderStatus { w, d, selector } => {
-                    let _ = db.order_status(w, d, selector);
-                }
-                TxnInput::Delivery { w, carrier } => {
-                    deliveries += db.delivery(w, carrier).delivered;
-                }
-                TxnInput::StockLevel { w, d, threshold } => {
-                    let _ = db.stock_level(w, d, threshold);
-                }
-            }
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            latency_h[t].record(ns);
-            trace.record(TX_NAMES[t], t0);
-            after_each(done, t, ns)?;
+        telemetry: Option<Shard>,
+    ) {
+        let place = OneNode { db, lm: None };
+        let mut terminal = Terminal::new(&place, telemetry);
+        terminal.one_delivery = true;
+        let tally = terminal.run(&mut self.gen, transactions);
+        for (mine, theirs) in report.executed.iter_mut().zip(tally.executed) {
+            *mine += theirs;
         }
-        Ok(DriverReport {
-            executed,
-            new_orders,
-            deliveries,
-            rollbacks,
-            relation_stats: Relation::ALL
-                .iter()
-                .map(|&r| (r, db.relation_stats(r)))
-                .collect(),
-            index_stats: db.index_stats(),
-        })
+        report.new_orders += tally.new_orders;
+        report.deliveries += tally.deliveries;
+        report.rollbacks += tally.rollbacks;
     }
 }
 

@@ -26,6 +26,7 @@ pub mod names;
 pub mod parallel;
 pub mod records;
 pub mod telemetry;
+mod terminal;
 pub mod txns;
 pub mod verify;
 pub mod views;

@@ -1,6 +1,7 @@
 //! The five TPC-C transactions, executed against the storage engine
 //! (paper §2.2's call sequences, with real record contents).
 
+use crate::cluster::MsgKind;
 use crate::db::TpccDb;
 use crate::keys;
 use crate::mvcc::TreeId;
@@ -8,6 +9,7 @@ use crate::records::{
     CustomerRec, DistrictRec, HistoryRec, ItemRec, NewOrderRec, OrderLineRec, OrderRec, StockRec,
     WarehouseRec,
 };
+use crate::terminal::{OneNode, Placement};
 use tpcc_schema::relation::Relation;
 use tpcc_storage::undo::Snapshot;
 use tpcc_storage::RecordId;
@@ -95,24 +97,6 @@ impl std::fmt::Display for NewOrderAborted {
 
 impl std::error::Error for NewOrderAborted {}
 
-/// The New-Order stock mutation (clause 2.4.2.2's restock rule plus
-/// the ytd / order-count / remote-count bumps), shared by the local
-/// transaction body and the cluster's remote-participant path so the
-/// two can never drift.
-pub(crate) fn apply_stock_update(stock: &mut StockRec, quantity: u16, remote: bool) {
-    // clause 2.4.2.2: restock when the level would fall below 10
-    if stock.quantity >= i32::from(quantity) + 10 {
-        stock.quantity -= i32::from(quantity);
-    } else {
-        stock.quantity += 91 - i32::from(quantity);
-    }
-    stock.ytd += u64::from(quantity);
-    stock.order_cnt += 1;
-    if remote {
-        stock.remote_cnt += 1;
-    }
-}
-
 /// How Payment / Order-Status select the customer.
 #[derive(Debug, Clone, Copy)]
 pub enum CustomerSelector {
@@ -123,9 +107,246 @@ pub enum CustomerSelector {
     ByName(u64),
 }
 
+/// The New-Order write sequence (§2.2), once for every executor: the
+/// order lands on the home node of `w`; each line's item is read on its
+/// owning node and each line's stock row updated on its supplying node
+/// — through the home write context when that is the home node, as a
+/// 2PC participant write otherwise. `Ok(None)` is a failed 2PC vote or
+/// decide (everything rolled back; never on one node).
+///
+/// # Errors
+/// [`NewOrderAborted`] when a line names an unused item (clause
+/// 2.4.1.4); every prior write, home and remote, is undone first.
+pub(crate) fn new_order<P: Placement>(
+    p: &P,
+    w: u64,
+    d: u64,
+    c: u64,
+    lines: &[OrderLineReq],
+) -> Result<Option<NewOrderResult>, NewOrderAborted> {
+    assert!(!lines.is_empty(), "an order needs at least one line");
+    let (hn, lw) = p.locate(w);
+    let h = p.db(hn);
+    let _span = h.bm.obs().span("new_order");
+    h.check_scale(lw, d, Some(c));
+    if !h.cfg.mvcc {
+        // no undo log to unwind through: decide the rollback by the
+        // id range (every id below `items` is loaded) before any write
+        if let Some(bad_line) = lines.iter().position(|l| l.item >= h.cfg.items) {
+            return Err(NewOrderAborted { bad_line });
+        }
+    }
+    h.begin_write();
+    let mut parts = P::Parts::default();
+
+    // 1. warehouse tax
+    let (_, warehouse) = h.select(Relation::Warehouse, keys::warehouse(lw));
+    let warehouse = WarehouseRec::decode(&warehouse);
+
+    // 2-3. district: read then bump next_o_id
+    let (d_rid, district) = h.select(Relation::District, keys::district(lw, d));
+    let mut district = DistrictRec::decode(&district);
+    let o_id = u64::from(district.next_o_id);
+    district.next_o_id += 1;
+    h.heap_update(Relation::District, d_rid, &district.encode());
+
+    // 4. customer discount
+    let (_, customer) = h.select(Relation::Customer, keys::customer(lw, d, c));
+    let customer = CustomerRec::decode(&customer);
+
+    // 5-6. order + new-order rows, under the home node's local keys
+    let entry_d = h.tick();
+    let all_local = lines.iter().all(|l| l.supply_warehouse == w);
+    let order = OrderRec {
+        o_id: o_id as u32,
+        c_id: c as u32,
+        entry_d,
+        carrier_id: 0,
+        ol_cnt: lines.len() as u8,
+        all_local: u8::from(all_local),
+    };
+    let o_heap_rid = h.heap_insert(Relation::Order, &order.encode());
+    h.index_insert(TreeId::Order, keys::order(lw, d, o_id), o_heap_rid.to_u64());
+    h.last_order_upsert(keys::last_order(lw, d, c), o_id);
+    let no = NewOrderRec {
+        o_id: o_id as u32,
+        d_id: d as u16,
+        w_id: lw as u16,
+    };
+    let no_rid = h.heap_insert(Relation::NewOrder, &no.encode());
+    h.index_insert(TreeId::NewOrder, keys::order(lw, d, o_id), no_rid.to_u64());
+
+    // 7. per item: item read, stock read+update, order-line insert
+    let mut line_amounts = Vec::with_capacity(lines.len());
+    for (number, line) in lines.iter().enumerate() {
+        if line.item >= h.cfg.items {
+            // clause 2.4.1.4: discovered at the item read, after this
+            // transaction already wrote — unwind home and remote
+            // writes, leaving no 2PC trace (presumed abort)
+            p.abort(hn, parts);
+            return Err(NewOrderAborted { bad_line: number });
+        }
+        let own = p.item_node(hn, line.item);
+        if own != hn {
+            p.msg(own, MsgKind::ItemRead);
+        }
+        let (_, item) = p.db(own).select(Relation::Item, keys::item(line.item));
+        let item = ItemRec::decode(&item);
+
+        let (sn, ls) = p.locate(line.supply_warehouse);
+        let sdb = p.db(sn);
+        sdb.check_scale(ls, d, None);
+        if sn != hn {
+            p.msg(sn, MsgKind::StockRead);
+        }
+        let (s_rid, before) = sdb.select(Relation::Stock, keys::stock(ls, line.item));
+        let mut stock = StockRec::decode(&before);
+        // clause 2.4.2.2: restock when the level would fall below 10
+        if stock.quantity >= i32::from(line.quantity) + 10 {
+            stock.quantity -= i32::from(line.quantity);
+        } else {
+            stock.quantity += 91 - i32::from(line.quantity);
+        }
+        stock.ytd += u64::from(line.quantity);
+        stock.order_cnt += 1;
+        if line.supply_warehouse != w {
+            stock.remote_cnt += 1;
+        }
+        let dist_info = stock.dist_info[d as usize].clone();
+        if sn == hn {
+            h.heap_update(Relation::Stock, s_rid, &stock.encode());
+        } else {
+            p.msg(sn, MsgKind::StockWrite);
+            p.remote_update(
+                &mut parts,
+                sn,
+                Relation::Stock,
+                s_rid,
+                before,
+                &stock.encode(),
+            );
+        }
+
+        let amount = f64::from(line.quantity) * item.price;
+        line_amounts.push(amount);
+        let ol = OrderLineRec {
+            o_id: o_id as u32,
+            d_id: d as u16,
+            w_id: lw as u16,
+            number: number as u16,
+            i_id: line.item as u32,
+            supply_w_id: line.supply_warehouse as u16,
+            delivery_d: 0,
+            quantity: line.quantity,
+            amount,
+            dist_info,
+        };
+        let ol_rid = h.heap_insert(Relation::OrderLine, &ol.encode());
+        h.index_insert(
+            TreeId::OrderLine,
+            keys::order_line(lw, d, o_id, number as u64),
+            ol_rid.to_u64(),
+        );
+    }
+    let subtotal: f64 = line_amounts.iter().sum();
+    let total_amount = subtotal * (1.0 - customer.discount) * (1.0 + warehouse.tax + district.tax);
+    Ok(p.commit(hn, parts).then_some(NewOrderResult {
+        o_id,
+        total_amount,
+        line_amounts,
+    }))
+}
+
+/// The Payment write sequence (§2.2), once for every executor:
+/// warehouse/district ytd and the history row land on the home node of
+/// `w`, the customer update on the node of `cw` — a 2PC participant
+/// write when that is another node. `None` is a failed 2PC vote or
+/// decide (everything rolled back; never on one node).
+pub(crate) fn payment<P: Placement>(
+    p: &P,
+    w: u64,
+    d: u64,
+    cw: u64,
+    cd: u64,
+    selector: CustomerSelector,
+    amount: f64,
+) -> Option<PaymentResult> {
+    let (hn, lw) = p.locate(w);
+    let h = p.db(hn);
+    h.check_scale(lw, d, None);
+    let _span = h.bm.obs().span("payment");
+    h.begin_write();
+    let mut parts = P::Parts::default();
+
+    let (w_rid, warehouse) = h.select(Relation::Warehouse, keys::warehouse(lw));
+    let mut warehouse = WarehouseRec::decode(&warehouse);
+    let (d_rid, district) = h.select(Relation::District, keys::district(lw, d));
+    let mut district = DistrictRec::decode(&district);
+
+    let (cn, lcw) = p.locate(cw);
+    let cdb = p.db(cn);
+    let (c_rid, mut customer, rows_matched) = cdb.resolve_customer_at(lcw, cd, selector, None);
+
+    warehouse.ytd += amount;
+    h.heap_update(Relation::Warehouse, w_rid, &warehouse.encode());
+    district.ytd += amount;
+    h.heap_update(Relation::District, d_rid, &district.encode());
+    customer.balance -= amount;
+    customer.ytd_payment += amount;
+    customer.payment_cnt += 1;
+    if cn == hn {
+        h.heap_update(Relation::Customer, c_rid, &customer.encode());
+    } else {
+        // the selection touched `rows_matched` remote rows (~3 by
+        // name), each a message, plus one write-back — the model's
+        // remote-payment call counts
+        for _ in 0..rows_matched {
+            p.msg(cn, MsgKind::CustomerRead);
+        }
+        let before = cdb.heaps.customer.get(&cdb.bm, c_rid).expect("live");
+        p.msg(cn, MsgKind::CustomerWrite);
+        p.remote_update(
+            &mut parts,
+            cn,
+            Relation::Customer,
+            c_rid,
+            before,
+            &customer.encode(),
+        );
+    }
+
+    let date = h.tick();
+    let history = HistoryRec {
+        c_id: customer.c_id,
+        c_d_id: cd as u16,
+        c_w_id: cw as u16,
+        d_id: d as u16,
+        w_id: lw as u16,
+        date,
+        amount,
+        data: "payment".into(),
+    };
+    h.heap_insert(Relation::History, &history.encode());
+    p.commit(hn, parts).then_some(PaymentResult {
+        c_id: u64::from(customer.c_id),
+        balance: customer.balance,
+        rows_matched,
+    })
+}
+
 impl TpccDb {
-    fn read_customer(&self, rid: RecordId) -> CustomerRec {
-        self.read_customer_at(rid, None)
+    /// One indexed unique select (§2.2's `select`): the live row's rid
+    /// and bytes.
+    ///
+    /// # Panics
+    /// Panics when no row has the key (ids are scale-checked first).
+    #[inline]
+    fn select(&self, rel: Relation, key: u64) -> (RecordId, Vec<u8>) {
+        let rid = self
+            .pk_lookup(rel, key)
+            .unwrap_or_else(|| panic!("no {rel:?} row under key {key}"));
+        let row = self.heaps.for_relation(rel).get(&self.bm, rid);
+        (rid, row.expect("indexed row is live"))
     }
 
     fn read_customer_at(&self, rid: RecordId, snap: Option<&Snapshot>) -> CustomerRec {
@@ -140,15 +361,6 @@ impl TpccDb {
     /// index, sort by first name, take the median row. The name index
     /// and the names themselves are immutable after load, so only the
     /// row reads need the snapshot.
-    pub(crate) fn resolve_customer(
-        &self,
-        w: u64,
-        d: u64,
-        selector: CustomerSelector,
-    ) -> (RecordId, CustomerRec, usize) {
-        self.resolve_customer_at(w, d, selector, None)
-    }
-
     fn resolve_customer_at(
         &self,
         w: u64,
@@ -158,7 +370,7 @@ impl TpccDb {
     ) -> (RecordId, CustomerRec, usize) {
         match selector {
             CustomerSelector::ById(c) => {
-                self.check_scale(w, d, Some(c), None);
+                self.check_scale(w, d, Some(c));
                 let rid = self
                     .pk_lookup(Relation::Customer, keys::customer(w, d, c))
                     .expect("customer exists");
@@ -198,7 +410,7 @@ impl TpccDb {
         match selector {
             CustomerSelector::ById(c) => c,
             CustomerSelector::ByName(_) => {
-                let (_, rec, _) = self.resolve_customer(w, d, selector);
+                let (_, rec, _) = self.resolve_customer_at(w, d, selector, None);
                 u64::from(rec.c_id)
             }
         }
@@ -208,137 +420,11 @@ impl TpccDb {
     /// `(w, d, c)`.
     ///
     /// # Panics
-    /// Panics on ids beyond the configured scale or an empty line list.
+    /// Panics on ids beyond the configured scale, an unused item id, or
+    /// an empty line list.
     pub fn new_order(&self, w: u64, d: u64, c: u64, lines: &[OrderLineReq]) -> NewOrderResult {
-        self.begin_write();
-        match self.new_order_body(w, d, c, lines, false) {
-            Ok(r) => r,
-            Err(_) => unreachable!("validation off: bad items panic via check_scale"),
-        }
-    }
-
-    /// The New-Order write sequence. With `validate` on, each line's
-    /// item id is checked at its read point (clause 2.4.1.4's "unused
-    /// item" discovery); a bad line returns `Err` with every prior
-    /// write still applied — the caller aborts via the undo log. With
-    /// `validate` off, a bad item panics in `check_scale` as ever.
-    fn new_order_body(
-        &self,
-        w: u64,
-        d: u64,
-        c: u64,
-        lines: &[OrderLineReq],
-        validate: bool,
-    ) -> Result<NewOrderResult, NewOrderAborted> {
-        assert!(!lines.is_empty(), "an order needs at least one line");
-        let _span = self.bm.obs().span("new_order");
-        self.check_scale(w, d, Some(c), None);
-
-        // 1. warehouse tax
-        let w_rid = self
-            .pk_lookup(Relation::Warehouse, keys::warehouse(w))
-            .expect("warehouse exists");
-        let warehouse =
-            WarehouseRec::decode(&self.heaps.warehouse.get(&self.bm, w_rid).expect("live"));
-
-        // 2-3. district: read then bump next_o_id
-        let d_rid = self
-            .pk_lookup(Relation::District, keys::district(w, d))
-            .expect("district exists");
-        let mut district =
-            DistrictRec::decode(&self.heaps.district.get(&self.bm, d_rid).expect("live"));
-        let o_id = u64::from(district.next_o_id);
-        district.next_o_id += 1;
-        self.heap_update(Relation::District, d_rid, &district.encode());
-
-        // 4. customer discount
-        let c_rid = self
-            .pk_lookup(Relation::Customer, keys::customer(w, d, c))
-            .expect("customer exists");
-        let customer = self.read_customer(c_rid);
-
-        // 5-6. order + new-order rows
-        let entry_d = self.tick();
-        let all_local = lines.iter().all(|l| l.supply_warehouse == w);
-        let order = OrderRec {
-            o_id: o_id as u32,
-            c_id: c as u32,
-            entry_d,
-            carrier_id: 0,
-            ol_cnt: lines.len() as u8,
-            all_local: u8::from(all_local),
-        };
-        let o_heap_rid = self.heap_insert(Relation::Order, &order.encode());
-        self.index_insert(TreeId::Order, keys::order(w, d, o_id), o_heap_rid.to_u64());
-        self.last_order_upsert(keys::last_order(w, d, c), o_id);
-        let no = NewOrderRec {
-            o_id: o_id as u32,
-            d_id: d as u16,
-            w_id: w as u16,
-        };
-        let no_rid = self.heap_insert(Relation::NewOrder, &no.encode());
-        self.index_insert(TreeId::NewOrder, keys::order(w, d, o_id), no_rid.to_u64());
-
-        // 7. per item: item read, stock read+update, order-line insert
-        let mut line_amounts = Vec::with_capacity(lines.len());
-        for (number, line) in lines.iter().enumerate() {
-            if validate
-                && !(line.item < self.cfg.items
-                    && self
-                        .pk_lookup(Relation::Item, keys::item(line.item))
-                        .is_some())
-            {
-                // clause 2.4.1.4: discovered at the item read, after
-                // this transaction already wrote — the caller unwinds
-                return Err(NewOrderAborted { bad_line: number });
-            }
-            self.check_scale(line.supply_warehouse, d, None, Some(line.item));
-            let i_rid = self
-                .pk_lookup(Relation::Item, keys::item(line.item))
-                .expect("item exists");
-            let item = ItemRec::decode(&self.heaps.item.get(&self.bm, i_rid).expect("live"));
-
-            let s_rid = self
-                .pk_lookup(
-                    Relation::Stock,
-                    keys::stock(line.supply_warehouse, line.item),
-                )
-                .expect("stock exists");
-            let mut stock = StockRec::decode(&self.heaps.stock.get(&self.bm, s_rid).expect("live"));
-            apply_stock_update(&mut stock, line.quantity, line.supply_warehouse != w);
-            let dist_info = stock.dist_info[d as usize].clone();
-            self.heap_update(Relation::Stock, s_rid, &stock.encode());
-
-            let amount = f64::from(line.quantity) * item.price;
-            line_amounts.push(amount);
-            let ol = OrderLineRec {
-                o_id: o_id as u32,
-                d_id: d as u16,
-                w_id: w as u16,
-                number: number as u16,
-                i_id: line.item as u32,
-                supply_w_id: line.supply_warehouse as u16,
-                delivery_d: 0,
-                quantity: line.quantity,
-                amount,
-                dist_info,
-            };
-            let ol_rid = self.heap_insert(Relation::OrderLine, &ol.encode());
-            self.index_insert(
-                TreeId::OrderLine,
-                keys::order_line(w, d, o_id, number as u64),
-                ol_rid.to_u64(),
-            );
-        }
-        let subtotal: f64 = line_amounts.iter().sum();
-        let total_amount =
-            subtotal * (1.0 - customer.discount) * (1.0 + warehouse.tax + district.tax);
-        self.commit();
-        Ok(NewOrderResult {
-            o_id,
-            total_amount,
-            line_amounts,
-        })
+        self.new_order_checked(w, d, c, lines)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// New-Order with the spec's rollback semantics: if any line names
@@ -351,9 +437,10 @@ impl TpccDb {
     /// updates through the undo log ([`TpccDb::abort_write`]) — the
     /// compensating writes are ordinary WAL-logged page deltas, so the
     /// disk carries the abort's physical trace but no committed
-    /// effect. With MVCC off, the historical validate-then-apply path
-    /// is preserved byte-for-byte: item existence is probed through
-    /// the item index before any write.
+    /// effect. With MVCC off there is no undo log to unwind through
+    /// (capturing one costs ~12 % tps, so it stays gated on
+    /// `cfg.mvcc`): the rollback is decided by the item-id range
+    /// before the first write, and a rolled-back order fixes no page.
     ///
     /// # Errors
     /// [`NewOrderAborted`] naming the first invalid line.
@@ -364,31 +451,8 @@ impl TpccDb {
         c: u64,
         lines: &[OrderLineReq],
     ) -> Result<NewOrderResult, NewOrderAborted> {
-        self.check_scale(w, d, Some(c), None);
-        if self.cfg.mvcc {
-            self.begin_write();
-            return match self.new_order_body(w, d, c, lines, true) {
-                Ok(r) => Ok(r), // the body committed
-                Err(e) => {
-                    self.abort_write();
-                    Err(e)
-                }
-            };
-        }
-        // the reads a rolled-back transaction still performs
-        let _ = self.pk_lookup(Relation::Warehouse, keys::warehouse(w));
-        let _ = self.pk_lookup(Relation::District, keys::district(w, d));
-        let _ = self.pk_lookup(Relation::Customer, keys::customer(w, d, c));
-        for (bad_line, line) in lines.iter().enumerate() {
-            let exists = line.item < self.cfg.items
-                && self
-                    .pk_lookup(Relation::Item, keys::item(line.item))
-                    .is_some();
-            if !exists {
-                return Err(NewOrderAborted { bad_line });
-            }
-        }
-        Ok(self.new_order(w, d, c, lines))
+        let placed = new_order(&OneNode { db: self, lm: None }, w, d, c, lines)?;
+        Ok(placed.expect("one node never runs 2PC"))
     }
 
     /// Payment (§2.2): charges `amount` to the selected customer of
@@ -402,51 +466,16 @@ impl TpccDb {
         selector: CustomerSelector,
         amount: f64,
     ) -> PaymentResult {
-        self.check_scale(w, d, None, None);
-        let _span = self.bm.obs().span("payment");
-        self.begin_write();
-
-        let w_rid = self
-            .pk_lookup(Relation::Warehouse, keys::warehouse(w))
-            .expect("warehouse exists");
-        let mut warehouse =
-            WarehouseRec::decode(&self.heaps.warehouse.get(&self.bm, w_rid).expect("live"));
-        let d_rid = self
-            .pk_lookup(Relation::District, keys::district(w, d))
-            .expect("district exists");
-        let mut district =
-            DistrictRec::decode(&self.heaps.district.get(&self.bm, d_rid).expect("live"));
-
-        let (c_rid, mut customer, rows_matched) = self.resolve_customer(cw, cd, selector);
-
-        warehouse.ytd += amount;
-        self.heap_update(Relation::Warehouse, w_rid, &warehouse.encode());
-        district.ytd += amount;
-        self.heap_update(Relation::District, d_rid, &district.encode());
-        customer.balance -= amount;
-        customer.ytd_payment += amount;
-        customer.payment_cnt += 1;
-        self.heap_update(Relation::Customer, c_rid, &customer.encode());
-
-        let date = self.tick();
-        let history = HistoryRec {
-            c_id: customer.c_id,
-            c_d_id: cd as u16,
-            c_w_id: cw as u16,
-            d_id: d as u16,
-            w_id: w as u16,
-            date,
+        payment(
+            &OneNode { db: self, lm: None },
+            w,
+            d,
+            cw,
+            cd,
+            selector,
             amount,
-            data: "payment".into(),
-        };
-        self.heap_insert(Relation::History, &history.encode());
-        self.commit();
-
-        PaymentResult {
-            c_id: u64::from(customer.c_id),
-            balance: customer.balance,
-            rows_matched,
-        }
+        )
+        .expect("one node never runs 2PC")
     }
 
     /// Order-Status (§2.2): the customer's most recent order and its
@@ -525,7 +554,7 @@ impl TpccDb {
     /// Delivery (§2.2): delivers the oldest pending order of every
     /// district of `w`.
     pub fn delivery(&self, w: u64, carrier_id: u8) -> DeliveryResult {
-        self.check_scale(w, 0, None, None);
+        self.check_scale(w, 0, None);
         let _span = self.bm.obs().span("delivery");
         self.begin_write();
         let mut per_district = [None; 10];
@@ -579,10 +608,8 @@ impl TpccDb {
             .delete(&self.bm, RecordId::from_u64(no_val));
 
         // order: read + set carrier
-        let o_rid = self
-            .pk_lookup(Relation::Order, keys::order(w, d, o_id))
-            .expect("order exists");
-        let mut order = OrderRec::decode(&self.heaps.order.get(&self.bm, o_rid).expect("live"));
+        let (o_rid, order) = self.select(Relation::Order, keys::order(w, d, o_id));
+        let mut order = OrderRec::decode(&order);
         order.carrier_id = carrier_id;
         self.heap_update(Relation::Order, o_rid, &order.encode());
 
@@ -604,13 +631,9 @@ impl TpccDb {
         }
 
         // customer: credit the balance
-        let c_rid = self
-            .pk_lookup(
-                Relation::Customer,
-                keys::customer(w, d, u64::from(order.c_id)),
-            )
-            .expect("customer exists");
-        let mut customer = self.read_customer(c_rid);
+        let c_key = keys::customer(w, d, u64::from(order.c_id));
+        let (c_rid, customer) = self.select(Relation::Customer, c_key);
+        let mut customer = CustomerRec::decode(&customer);
         customer.balance += total;
         customer.delivery_cnt += 1;
         self.heap_update(Relation::Customer, c_rid, &customer.encode());
@@ -648,7 +671,7 @@ impl TpccDb {
         threshold: i32,
         snap: Option<&Snapshot>,
     ) -> StockLevelResult {
-        self.check_scale(w, d, None, None);
+        self.check_scale(w, d, None);
         let _span = self.bm.obs().span("stock_level");
         let d_rid = self
             .pk_lookup(Relation::District, keys::district(w, d))
@@ -857,7 +880,7 @@ mod tests {
 
     #[test]
     fn checked_new_order_aborts_on_unused_item_without_writes() {
-        let db = db();
+        let mut db = db();
         let d_rid = db
             .pk_lookup(Relation::District, keys::district(0, 2))
             .expect("district");
@@ -868,8 +891,16 @@ mod tests {
             supply_warehouse: 0,
             quantity: 1,
         });
+        db.reset_stats();
         let err = db.new_order_checked(0, 2, 5, &bad).expect_err("must abort");
         assert_eq!(err.bad_line, 2);
+        // without MVCC the rollback is decided by the item id range
+        // before anything is read: no page was fixed
+        let fixes = Relation::ALL
+            .iter()
+            .map(|&r| db.relation_stats(r))
+            .fold(db.index_stats(), |a, s| a.merged(s));
+        assert_eq!(fixes.hits + fixes.misses, 0);
         // no writes: next_o_id unchanged, no order row appeared
         let after = DistrictRec::decode(&db.heaps.district.get(&db.bm, d_rid).expect("live"));
         assert_eq!(after.next_o_id, before.next_o_id);
@@ -879,6 +910,36 @@ mod tests {
                 keys::order(0, 2, u64::from(before.next_o_id))
             )
             .is_none());
+    }
+
+    /// The paper's Table 3 profile: a New-Order of m lines issues
+    /// 3 + 2m unique index selects (warehouse, district, customer, then
+    /// item + stock per line) — one descent per row read, with or
+    /// without MVCC.
+    #[test]
+    fn committed_new_order_performs_the_table_3_index_selects() {
+        for mvcc in [false, true] {
+            let rec = std::sync::Arc::new(tpcc_obs::MemoryRecorder::new());
+            let mut db = loader::load(
+                DbConfig {
+                    mvcc,
+                    ..DbConfig::small()
+                },
+                7,
+            );
+            db.set_obs(tpcc_obs::Obs::new(rec.clone()));
+            let ten: Vec<u64> = (1..=10).collect();
+            db.new_order_checked(0, 2, 5, &lines(&ten))
+                .expect("valid items commit");
+            let selects: u64 = rec
+                .snapshot()
+                .spans
+                .iter()
+                .filter(|(path, _)| path.ends_with("btree_lookup"))
+                .map(|(_, stat)| stat.count)
+                .sum();
+            assert_eq!(selects, 3 + 2 * 10, "mvcc {mvcc}");
+        }
     }
 
     #[test]

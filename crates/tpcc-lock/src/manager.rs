@@ -278,8 +278,15 @@ impl LockManager {
     /// timestamp.
     #[must_use]
     pub fn begin(&self) -> Txn<'_> {
-        let ts = self.next_ts.fetch_add(1, Ordering::Relaxed) + 1;
-        self.begin_at(ts)
+        self.begin_at(self.draw_ts())
+    }
+
+    /// Draws the next fresh timestamp without opening a transaction —
+    /// for a caller that opens it later with
+    /// [`LockManager::begin_at`] and keeps the timestamp across
+    /// retries.
+    pub fn draw_ts(&self) -> Ts {
+        self.next_ts.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Starts a transaction with a caller-chosen timestamp — used to

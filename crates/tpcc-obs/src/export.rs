@@ -242,6 +242,12 @@ impl<W: Write> SnapshotWriter<W> {
         }
     }
 
+    /// Transactions between snapshots.
+    #[must_use]
+    pub fn period(&self) -> u64 {
+        self.every
+    }
+
     /// Notes that `transactions_done` transactions have now completed;
     /// emits a snapshot if a period boundary was crossed.
     ///

@@ -46,7 +46,6 @@
 
 mod export;
 mod handle;
-mod hist;
 mod memory;
 mod recorder;
 mod sketch;
@@ -55,7 +54,6 @@ mod trace;
 
 pub use export::{top_level_totals, SnapshotWriter};
 pub use handle::{CounterHandle, GaugeHandle, HandleTimer, HistogramHandle, TraceHandle};
-pub use hist::{bucket_bounds, bucket_index, LogHistogram, BUCKETS};
 pub use memory::{MemoryRecorder, Snapshot, SpanEvent, SpanStat, DEFAULT_SPAN_RING};
 pub use recorder::{Label, LatencyTimer, NoopRecorder, Obs, Recorder, SpanGuard};
 pub use sketch::{HistSummary, QuantileSketch, DEFAULT_SKETCH_ALPHA};

@@ -9,10 +9,10 @@
 //! estimate for quantile `q` is within `α` (relative) of the exact
 //! sample at rank `⌈q·n⌉`.
 //!
-//! Unlike the fixed 256-bucket [`LogHistogram`](crate::LogHistogram)
-//! (25% bucket width), the default `α = 1%` sketch resolves p95/p99
-//! tail movement that the coarse buckets smear, and merging is a
-//! bucket-wise add — **lossless**: merging per-thread sketches yields
+//! Unlike a fixed log-scale histogram of a few hundred buckets (25%
+//! bucket width), the default `α = 1%` sketch resolves p95/p99 tail
+//! movement that coarse buckets smear, and merging is a bucket-wise
+//! add — **lossless**: merging per-thread sketches yields
 //! bit-identical state to recording every sample through one sketch,
 //! in any merge order. That is what lets the parallel driver keep a
 //! private sketch per terminal and combine them only at snapshot or

@@ -395,16 +395,22 @@ impl BufferManager {
     /// latched in the pool, before it can reach disk).
     pub fn enable_wal(&mut self) {
         let mut wal = self.wal.lock().expect("wal lock");
+        let fresh = wal.is_none();
         let wal = wal.get_or_insert_with(Wal::new);
         if let Some(hook) = &self.fault {
             // a re-enabled WAL (e.g. after try_crash_recovery_check
             // detached the old one) keeps the installed fault hook
             wal.set_fault_hook(Arc::clone(hook));
         }
-        if self.logmgr.is_some() {
+        if let Some(lm) = &self.logmgr {
             // a re-enabled WAL under group commit stays on deferred
             // (flushed-prefix) durability
             wal.set_deferred(true);
+            if fresh {
+                // tickets are commit counts of *this* log: a fresh one
+                // restarts at 0, and so must the pipeline's watermarks
+                lm.restart_tickets();
+            }
         }
         self.wal_on.store(true, Ordering::Release);
     }

@@ -431,6 +431,21 @@ impl LogManager {
         }
     }
 
+    /// Restarts the ticket watermarks at 0 for a freshly armed (empty)
+    /// log, whose commit count — the ticket source — restarts there
+    /// too. Left at the old log's high-water mark, every later commit
+    /// would find `durable >= ticket` and return without waiting for a
+    /// flush, and the batcher could never again see `appended ==
+    /// durable` to park or exit on. The cumulative
+    /// [`GroupCommitStats`] and the commit-wait sketch carry on. Call
+    /// only while quiesced (no committer in flight).
+    pub fn restart_tickets(&self) {
+        let mut st = self.shared.state.lock().expect("gc state");
+        st.appended = 0;
+        st.durable = 0;
+        st.since_flush = 0;
+    }
+
     /// Forces a flush of whatever is pending (quiesce points: sweeps,
     /// benchmarks, shutdown). No-op when the tail is empty.
     pub fn flush_now(&self) {
