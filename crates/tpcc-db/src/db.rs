@@ -6,7 +6,7 @@ use std::sync::Arc;
 use tpcc_obs::Obs;
 use tpcc_schema::relation::Relation;
 use tpcc_storage::{
-    BTree, BufferManager, BufferStats, DiskManager, FaultHook, FaultPlan, FaultStats,
+    BTree, BufferManager, BufferStats, DiskManager, FaultHook, FaultPlan, FaultStats, FileId,
     GroupCommitConfig, GroupCommitStats, HeapFile, RecordId, RecoveryError, Replacement, UndoStore,
     Wal,
 };
@@ -293,7 +293,11 @@ impl TpccDb {
             .checkpoint
             .take()
             .expect("WAL mode always holds a checkpoint");
-        let recovered = wal.try_recover(checkpoint)?;
+        let recovered = wal.try_recover(checkpoint);
+        // the log is spent: free it before the next checkpoint image is
+        // cloned, so the two never add up in peak memory
+        drop(wal);
+        let recovered = recovered?;
         self.bm.flush_all();
         let equal = self.bm.with_disk(|disk| recovered.contents_equal(disk));
         // re-arm for continued use
@@ -454,15 +458,13 @@ impl TpccDb {
         self.bm.latch_stats()
     }
 
-    /// Attaches an observability handle to the storage layer and
-    /// registers every file's display name with it, so per-file
-    /// metrics export as `buf_hits/stock` or `buf_misses/idx_customer`
-    /// rather than raw file ids.
-    pub fn set_obs(&mut self, obs: Obs) {
-        for r in Relation::ALL {
-            obs.register_index(self.heaps.for_relation(r).file().0, r.name());
-        }
-        let named_indexes: [(&BTree, &str); 10] = [
+    /// Every heap and index file with its display name (`stock`,
+    /// `idx_customer`, …), for per-file reports over buffer statistics
+    /// or log records.
+    #[must_use]
+    pub fn file_names(&self) -> Vec<(FileId, &'static str)> {
+        let heaps = Relation::ALL.map(|r| (self.heaps.for_relation(r).file(), r.name()));
+        let indexes = [
             (&self.idx.warehouse, "idx_warehouse"),
             (&self.idx.district, "idx_district"),
             (&self.idx.customer, "idx_customer"),
@@ -473,9 +475,18 @@ impl TpccDb {
             (&self.idx.new_order, "idx_new_order"),
             (&self.idx.order_line, "idx_order_line"),
             (&self.idx.last_order, "idx_last_order"),
-        ];
-        for (tree, name) in named_indexes {
-            obs.register_index(tree.file().0, name);
+        ]
+        .map(|(tree, name)| (tree.file(), name));
+        heaps.into_iter().chain(indexes).collect()
+    }
+
+    /// Attaches an observability handle to the storage layer and
+    /// registers every file's display name with it, so per-file
+    /// metrics export as `buf_hits/stock` or `buf_misses/idx_customer`
+    /// rather than raw file ids.
+    pub fn set_obs(&mut self, obs: Obs) {
+        for (file, name) in self.file_names() {
+            obs.register_index(file.0, name);
         }
         self.bm.set_obs(obs);
         // pre-resolve per-index counters against the new recorder

@@ -368,7 +368,7 @@ impl BTree {
         self.visits.add(1);
         if self.node_full(&node) {
             // grow the tree while holding the structure latch exclusively
-            let (sep, right_page, right, left) = self.split_node(bm, node);
+            let (sep, right_page, right, left) = self.split_node(bm, node, key);
             let left_page = left.page();
             let (new_root, mut root_guard) = bm.allocate_fixed(self.file);
             encode(
@@ -408,7 +408,7 @@ impl BTree {
             let mut child = bm.fix_exclusive(self.file, child_page);
             self.visits.add(1);
             if self.node_full(&child) {
-                let (sep, right_page, right, left) = self.split_node(bm, child);
+                let (sep, right_page, right, left) = self.split_node(bm, child, key);
                 let Node::Internal {
                     mut keys,
                     mut children,
@@ -679,14 +679,20 @@ impl BTree {
         entry_count(data) >= cap
     }
 
-    /// Splits a full node in place: the upper half moves to a freshly
+    /// Splits a full node in place: the upper part moves to a freshly
     /// allocated right sibling. Returns `(separator, right page, right
     /// guard, left guard)` — both halves still write-latched so the
     /// caller can link them before anyone can observe the split.
+    ///
+    /// Internal nodes split in the middle. A leaf splits where `key`
+    /// (the insert that found it full) lands when that key continues
+    /// an ascending run — see [`leaf_split_point`] — so the run's next
+    /// keys append to a leaf with room instead of shifting half a page.
     fn split_node<'b>(
         &self,
         bm: &'b BufferManager,
         mut left: PageWriteGuard<'b>,
+        key: u64,
     ) -> (u64, u32, PageWriteGuard<'b>, PageWriteGuard<'b>) {
         self.splits.add(1);
         let node = decode(&left);
@@ -697,10 +703,12 @@ impl BTree {
                 mut vals,
                 next,
             } => {
-                let mid = keys.len() / 2;
-                let right_keys = keys.split_off(mid);
-                let right_vals = vals.split_off(mid);
-                let sep = right_keys[0];
+                let at = leaf_split_point(&keys, key);
+                let right_keys = keys.split_off(at);
+                let right_vals = vals.split_off(at);
+                // an append leaves the right sibling empty until the
+                // caller's insert lands there
+                let sep = right_keys.first().copied().unwrap_or(key);
                 encode(
                     &mut right,
                     &Node::Leaf {
@@ -740,6 +748,29 @@ impl BTree {
             }
         };
         (sep, right_page, right, left)
+    }
+}
+
+/// Where a full leaf's sorted `keys` split for the insert of `key`:
+/// entries from the returned index on move to the right sibling.
+///
+/// TPC-C's growing relations append to one ascending run per district
+/// (`(w, d, order, line)` and its prefixes), and the runs of different
+/// districts are 2^32 or more apart. A middle split there leaves the
+/// run's tail in the middle of a half-full leaf: every later insert
+/// shifts the entries above it (and logs the shifted range), and a
+/// loader's ascending build leaves every leaf half empty. So when `key`
+/// is past every entry, or lies at least 256 times closer to its
+/// predecessor than to its successor, the leaf splits at `key`'s own
+/// position and the run continues at the end of a leaf with room.
+/// Uniformly spread keys meet the distance test about once in 256
+/// splits; everything else splits in the middle as before.
+fn leaf_split_point(keys: &[u64], key: u64) -> usize {
+    let n = keys.len();
+    match keys.binary_search(&key) {
+        Err(p) if p == n => n,
+        Err(p) if p > 0 && (keys[p] - key) >> 8 > key - keys[p - 1] => p,
+        _ => n / 2,
     }
 }
 
@@ -926,6 +957,7 @@ mod tests {
     use super::*;
     use crate::bufmgr::Replacement;
     use crate::disk::DiskManager;
+    use crate::wal::Wal;
     use tpcc_rand::Xoshiro256;
 
     fn setup(page_size: usize, frames: usize) -> (BufferManager, BTree) {
@@ -1190,6 +1222,127 @@ mod tests {
             recovered.contents_equal(&clean),
             "recovery replays merges and frees identically"
         );
+    }
+
+    /// `(leaves, entries)` counted along the leaf chain.
+    fn leaf_chain(bm: &BufferManager, t: &BTree) -> (usize, usize) {
+        let mut guard = bm.fix_shared(t.file, *t.root.read().expect("root latch"));
+        while !is_leaf(&guard) {
+            let child = internal_child_at(&guard, 0);
+            guard = bm.fix_shared(t.file, child);
+        }
+        let (mut leaves, mut entries) = (0, 0);
+        loop {
+            leaves += 1;
+            entries += entry_count(&guard);
+            let next = leaf_next(&guard);
+            if next == NO_LEAF {
+                return (leaves, entries);
+            }
+            guard = bm.fix_shared(t.file, next);
+        }
+    }
+
+    #[test]
+    fn ascending_inserts_leave_full_leaves() {
+        let (bm, t) = setup(4096, 1024);
+        let n = 100_000usize;
+        for k in 0..n as u64 {
+            t.insert(&bm, k, k);
+        }
+        let (leaves, entries) = leaf_chain(&bm, &t);
+        assert_eq!(entries, n);
+        let full = n.div_ceil(t.leaf_cap);
+        assert!(
+            leaves * 100 <= full * 105,
+            "{leaves} leaves where {full} full ones hold {n} keys"
+        );
+        // 393 full leaves or the 785 half-full ones of a middle split:
+        // one root over either
+        assert_eq!(t.height(&bm), 3);
+        assert_eq!(t.get(&bm, 54_321), Some(54_321));
+    }
+
+    #[test]
+    fn interleaved_runs_log_appends_not_shifts() {
+        // ten ascending runs 2^44 apart, the `(district, order, line)`
+        // shape of TPC-C's order-line key
+        let key = |d: u64, o: u64, line: u64| (((d << 40) | o) << 4) | line;
+        let order = |bm: &BufferManager, t: &BTree, d: u64, o: u64| {
+            for line in 1..=10 {
+                t.insert(bm, key(d, o, line), o);
+            }
+            10
+        };
+        let disk = DiskManager::new(4096);
+        let mut bm = BufferManager::new(disk, 512, Replacement::Lru);
+        bm.enable_wal();
+        let checkpoint = bm.disk_snapshot();
+        let t = BTree::create(&bm);
+        // loaded run after run, every run's tail but the last sits
+        // inside a full leaf; one interleaved order each splits it there
+        for d in 0..10 {
+            for o in 0..60 {
+                order(&bm, &t, d, o);
+            }
+        }
+        for d in 0..10 {
+            order(&bm, &t, d, 60);
+        }
+        let logged = |bm: &BufferManager| bm.with_wal(Wal::delta_bytes).expect("enabled");
+        let (before, leaves_before) = (logged(&bm), leaf_chain(&bm, &t).0);
+        let mut inserts = 0;
+        for o in 61..141 {
+            for d in 0..10 {
+                inserts += order(&bm, &t, d, o);
+            }
+        }
+        let per_insert = (logged(&bm) - before) as f64 / f64::from(inserts);
+        let later_splits = leaf_chain(&bm, &t).0 - leaves_before;
+        assert!(later_splits >= 20, "only {later_splits} splits measured");
+        // 16-byte entry + 2-byte count, plus each run's splits spread
+        // over the leaf they fill
+        assert!(
+            per_insert <= 40.0,
+            "{per_insert:.1} delta bytes per insert over {inserts} inserts"
+        );
+
+        bm.log_commit(1);
+        bm.flush_all();
+        let wal = bm.take_wal().expect("enabled");
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
+        assert!(recovered.contents_equal(&bm.disk_snapshot()));
+    }
+
+    #[test]
+    fn random_inserts_keep_leaves_two_thirds_full() {
+        use std::collections::BTreeMap;
+        for page_size in [256, 4096] {
+            let (bm, t) = setup(page_size, 1024);
+            let mut oracle = BTreeMap::new();
+            let mut rng = Xoshiro256::seed_from_u64(11);
+            while oracle.len() < 100_000 {
+                let (k, v) = (rng.next_u64() >> 8, rng.next_u64());
+                assert_eq!(t.insert(&bm, k, v), oracle.insert(k, v));
+            }
+            let (leaves, entries) = leaf_chain(&bm, &t);
+            assert_eq!(entries, oracle.len());
+            let fill = entries as f64 / (leaves * t.leaf_cap) as f64;
+            assert!(fill >= 0.60, "page {page_size}: leaf fill {fill:.3}");
+            for (&k, &v) in oracle.iter().step_by(7) {
+                assert_eq!(t.get(&bm, k), Some(v));
+                assert_eq!(t.get(&bm, k ^ 1).is_some(), oracle.contains_key(&(k ^ 1)));
+            }
+            let (lo, hi) = (u64::MAX >> 10, u64::MAX >> 9);
+            let mut scanned = Vec::new();
+            t.scan_range(&bm, lo, hi, |k, v| {
+                scanned.push((k, v));
+                true
+            });
+            let expected: Vec<_> = oracle.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
+            assert!(expected.len() > 100);
+            assert_eq!(scanned, expected, "page {page_size}");
+        }
     }
 
     #[test]

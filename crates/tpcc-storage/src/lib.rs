@@ -59,4 +59,4 @@ pub use heap::{HeapFile, RecordId};
 pub use logmgr::{CommitReceipt, GroupCommitConfig, GroupCommitStats, LogManager};
 pub use page::SlottedPage;
 pub use undo::{Snapshot, UndoStore, VersionKey};
-pub use wal::{apply_entry, page_delta, page_deltas, RecoveryError, Wal, WalEntry};
+pub use wal::{apply_entry, page_deltas, RecoveryError, Wal, WalEntry};

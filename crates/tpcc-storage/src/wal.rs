@@ -664,20 +664,6 @@ pub fn apply_entry(
     Ok(())
 }
 
-/// Computes the minimal contiguous byte range that differs between two
-/// page images; `None` when identical.
-#[must_use]
-pub fn page_delta(before: &[u8], after: &[u8]) -> Option<(u32, Vec<u8>)> {
-    debug_assert_eq!(before.len(), after.len());
-    let first = before.iter().zip(after).position(|(a, b)| a != b)?;
-    let last = before
-        .iter()
-        .zip(after)
-        .rposition(|(a, b)| a != b)
-        .expect("a first difference implies a last");
-    Some((first as u32, after[first..=last].to_vec()))
-}
-
 /// Minimum run of unchanged bytes that splits one page mutation into
 /// two `PageDelta` records. A record costs 20 bytes of framing, so
 /// carrying an unchanged gap shorter than this inline is cheaper than
@@ -696,56 +682,149 @@ pub fn page_deltas(before: &[u8], after: &[u8]) -> Vec<(u32, Vec<u8>)> {
     debug_assert_eq!(before.len(), after.len());
     let n = before.len();
     let mut segments = Vec::new();
-    let mut i = 0;
-    while i < n {
-        if before[i] == after[i] {
-            i += 1;
-            continue;
-        }
+    let mut start = first_difference(before, after, 0);
+    while start < n {
         // a changed run starts here; absorb unchanged gaps shorter
         // than the split threshold, stop at a long gap or page end
-        let start = i;
-        let mut end = i + 1;
-        let mut j = i + 1;
-        while j < n {
-            if before[j] != after[j] {
-                j += 1;
-                end = j;
-            } else {
-                let gap_start = j;
-                while j < n && before[j] == after[j] {
-                    j += 1;
-                    if j - gap_start >= DELTA_SPLIT_GAP {
-                        break;
-                    }
-                }
-                if j - gap_start >= DELTA_SPLIT_GAP || j == n {
-                    break;
-                }
+        let mut end = start + 1;
+        let next = loop {
+            while end < n && before[end] != after[end] {
+                end += 1;
             }
-        }
+            let next = first_difference(before, after, end);
+            if next == n || next - end >= DELTA_SPLIT_GAP {
+                break next;
+            }
+            end = next + 1;
+        };
         segments.push((start as u32, after[start..end].to_vec()));
-        i = j;
+        start = next;
     }
     segments
+}
+
+/// First index at or after `from` where the two images differ, or their
+/// length when the rest is identical. Nearly all of a page is unchanged
+/// by one mutation, so equal bytes are skipped 32 at a time (a slice
+/// compare the compiler vectorises), then a word at a time (XOR, and
+/// the lowest set bit names the byte), then singly for the tail.
+fn first_difference(before: &[u8], after: &[u8], from: usize) -> usize {
+    let n = before.len();
+    let mut i = from;
+    while i + 32 <= n && before[i..i + 32] == after[i..i + 32] {
+        i += 32;
+    }
+    while i + 8 <= n {
+        let a = u64::from_le_bytes(before[i..i + 8].try_into().expect("8 bytes"));
+        let b = u64::from_le_bytes(after[i..i + 8].try_into().expect("8 bytes"));
+        if a != b {
+            return i + ((a ^ b).trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < n && before[i] == after[i] {
+        i += 1;
+    }
+    i
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time loop [`page_deltas`] replaced, kept as the
+    /// reference its segments are compared against.
+    fn page_deltas_bytewise(before: &[u8], after: &[u8]) -> Vec<(u32, Vec<u8>)> {
+        debug_assert_eq!(before.len(), after.len());
+        let n = before.len();
+        let mut segments = Vec::new();
+        let mut i = 0;
+        while i < n {
+            if before[i] == after[i] {
+                i += 1;
+                continue;
+            }
+            // a changed run starts here; absorb unchanged gaps shorter
+            // than the split threshold, stop at a long gap or page end
+            let start = i;
+            let mut end = i + 1;
+            let mut j = i + 1;
+            while j < n {
+                if before[j] != after[j] {
+                    j += 1;
+                    end = j;
+                } else {
+                    let gap_start = j;
+                    while j < n && before[j] == after[j] {
+                        j += 1;
+                        if j - gap_start >= DELTA_SPLIT_GAP {
+                            break;
+                        }
+                    }
+                    if j - gap_start >= DELTA_SPLIT_GAP || j == n {
+                        break;
+                    }
+                }
+            }
+            segments.push((start as u32, after[start..end].to_vec()));
+            i = j;
+        }
+        segments
+    }
+
     #[test]
-    fn page_delta_finds_minimal_range() {
-        let before = vec![0u8; 64];
-        let mut after = before.clone();
-        after[10] = 1;
-        after[20] = 2;
-        let (offset, data) = page_delta(&before, &after).expect("differs");
-        assert_eq!(offset, 10);
-        assert_eq!(data.len(), 11);
-        assert_eq!(data[0], 1);
-        assert_eq!(data[10], 2);
-        assert!(page_delta(&before, &before).is_none());
+    fn page_deltas_match_the_bytewise_reference() {
+        use tpcc_rand::Xoshiro256;
+        const LENS: [usize; 5] = [37, 128, 256, 4093, 4096];
+        const EDIT_LENS: [usize; 4] = [1, 4, 16, 600];
+        const FOLLOW_GAPS: [usize; 6] = [0, 1, 31, 32, 33, 64];
+        let mut rng = Xoshiro256::seed_from_u64(0x00D1_FFED);
+        let mut pick = |hi: usize| rng.uniform_inclusive(0, hi as u64) as usize;
+        const CASES: usize = 12_000;
+        let mut segments = 0;
+        for case in 0..CASES {
+            let n = LENS[case % LENS.len()];
+            let before: Vec<u8> = (0..n).map(|_| pick(255) as u8).collect();
+            let mut after = before.clone();
+            // every sixth case is left identical
+            let edits = if case % 6 == 0 { 0 } else { pick(6) };
+            for edit in 0..edits {
+                let len = match EDIT_LENS[pick(3)] {
+                    600 => 1 + pick(599),
+                    fixed => fixed,
+                }
+                .min(n);
+                // the first two edits of some cases pin the page ends
+                let at = match (edit, case % 4) {
+                    (0, 1) => 0,
+                    (1, 1) | (0, 2) => n - len,
+                    _ => pick(n - len),
+                };
+                // interior bytes may keep their value (mask 0); the
+                // ends always change so the follow-up gap is exact
+                for b in &mut after[at..at + len] {
+                    *b ^= pick(255) as u8;
+                }
+                after[at] = !before[at];
+                after[at + len - 1] = !before[at + len - 1];
+                let follow = at + len + FOLLOW_GAPS[pick(5)];
+                if follow < n && pick(1) == 0 {
+                    after[follow] = !after[follow];
+                }
+            }
+            let got = page_deltas(&before, &after);
+            assert_eq!(
+                got,
+                page_deltas_bytewise(&before, &after),
+                "case {case}, page length {n}"
+            );
+            assert_eq!(got.is_empty(), before == after, "case {case}");
+            segments += got.len();
+        }
+        assert!(
+            segments > CASES,
+            "the generator produced {segments} segments"
+        );
     }
 
     #[test]

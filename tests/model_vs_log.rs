@@ -30,7 +30,8 @@ use tpcc_suite::workload::TransactionMix;
 /// track the §5 after-image accounting. Heap deltas can undershoot a
 /// full after-image (only the touched range is logged); B+Tree
 /// node-array shifts — outside the model's tuple-only accounting —
-/// overshoot it. Measured: ~2.3x at the paper mix.
+/// overshoot it. Measured: ~0.9x at the paper mix (~2.3x while index
+/// leaves split in the middle and every insert logged a shifted range).
 const VOLUME_BAND: f64 = 3.0;
 
 /// Deep pending queue so Delivery never skips a district (the model
