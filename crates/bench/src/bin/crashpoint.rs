@@ -41,25 +41,23 @@
 //!
 //! `seed` defaults to `TPCC_STRESS_SEED`, then 42.
 
-use std::io::Write as _;
+use tpcc_bench::{results_file, usage_exit, Args};
 use tpcc_db::db::DbConfig;
 use tpcc_db::driver::DriverConfig;
 use tpcc_db::{
     cdc_checkpoint_sweep, crashpoint_sweep, loader, verify_record_boundaries, FaultPlan, FaultSite,
     GroupCommitConfig, SweepConfig, SweepReport,
 };
+use tpcc_obs::{JsonLines, JsonObject};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let transactions: u64 = args
-        .next()
-        .map(|s| s.parse().expect("transactions must be a u64"))
-        .unwrap_or(5_000);
-    let seed: u64 = args
-        .next()
-        .or_else(|| std::env::var("TPCC_STRESS_SEED").ok())
-        .map(|s| s.parse().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let args = Args::from_env("crashpoint", "[transactions] [seed]");
+    let transactions = args.get("transactions", 5_000);
+    let stress_seed = std::env::var("TPCC_STRESS_SEED").map_or(Ok(42), |s| s.parse());
+    let Ok(stress_seed) = stress_seed else {
+        usage_exit("TPCC_STRESS_SEED must be a u64", "crashpoint …");
+    };
+    let seed = args.get("seed", stress_seed);
 
     // small scale with a buffer pool below the working set, so the run
     // itself evicts (write-back and miss-load sites fire mid-txn), and
@@ -71,43 +69,41 @@ fn main() {
     dbcfg.initial_pending_per_district = 150;
     dbcfg.initial_orders_per_district = 210;
 
-    std::fs::create_dir_all("results").expect("create results/");
-    let mut out =
-        std::fs::File::create("results/crashpoints.jsonl").expect("open results/crashpoints.jsonl");
-    let mut emit = |line: String| {
-        println!("{line}");
-        writeln!(out, "{line}").expect("write results/crashpoints.jsonl");
+    let mut out = JsonLines::new(results_file("crashpoints.jsonl"));
+    let mut emit = |line: &JsonObject| out.write(line).expect("write a results line");
+    let pass = |name: &str| {
+        let mut line = JsonObject::default();
+        line.str("pass", name).uint("seed", seed);
+        line
     };
 
     let mut cfg = SweepConfig::new(dbcfg, transactions, seed);
     cfg.live_reruns = 3;
     cfg.recover_samples = 32;
 
-    let sweep_line = |pass: &str, sweep: &SweepReport| {
-        let per_site: Vec<String> = FaultSite::ALL
-            .iter()
-            .map(|s| format!("\"{}\":{}", s.name(), sweep.per_site[s.idx()]))
-            .collect();
-        format!(
-            "{{\"pass\":\"{pass}\",\"seed\":{seed},\"transactions\":{transactions},\
-             \"sites\":{},{},\"wal_entries\":{},\"wal_commits\":{},\
-             \"distinct_prefixes\":{},\"recoveries_verified\":{},\
-             \"recover_checks\":{},\"live_reruns\":{},\"failures\":{}}}",
-            sweep.sites_total,
-            per_site.join(","),
-            sweep.wal_entries,
-            sweep.wal_commits,
-            sweep.distinct_prefixes,
-            sweep.distinct_prefixes + sweep.live_reruns,
-            sweep.recover_checks,
-            sweep.live_reruns,
-            sweep.failures.len(),
-        )
+    let sweep_line = |name: &str, sweep: &SweepReport| {
+        let mut line = pass(name);
+        line.uint("transactions", transactions)
+            .uint("sites", sweep.sites_total);
+        for s in FaultSite::ALL {
+            line.uint(s.name(), sweep.per_site[s.idx()]);
+        }
+        line.uint("wal_entries", sweep.wal_entries)
+            .uint("wal_commits", sweep.wal_commits)
+            .uint("distinct_prefixes", sweep.distinct_prefixes)
+            .uint(
+                "recoveries_verified",
+                sweep.distinct_prefixes + sweep.live_reruns,
+            )
+            .uint("recover_checks", sweep.recover_checks)
+            .uint("live_reruns", sweep.live_reruns)
+            .uint("failures", sweep.failures.len());
+        line
     };
 
     // 1. enumerated crash sweep (synchronous durability)
     let sweep = crashpoint_sweep(&cfg);
-    emit(sweep_line("sweep", &sweep));
+    emit(&sweep_line("sweep", &sweep));
 
     // 2. the same sweep at every flush boundary: group commit with the
     // deterministic inline schedule (flush every 4th commit)
@@ -117,7 +113,7 @@ fn main() {
     gc_cfg.live_reruns = cfg.live_reruns;
     gc_cfg.recover_samples = cfg.recover_samples;
     let gc_sweep = crashpoint_sweep(&gc_cfg);
-    emit(sweep_line("gc_sweep", &gc_sweep));
+    emit(&sweep_line("gc_sweep", &gc_sweep));
 
     // 3. the enumerated sweep with MVCC on and spec rollbacks in the
     // input streams: undo_append sites fire on every chained pre-image,
@@ -130,7 +126,7 @@ fn main() {
     mvcc_cfg.live_reruns = cfg.live_reruns;
     mvcc_cfg.recover_samples = cfg.recover_samples;
     let mvcc_sweep = crashpoint_sweep(&mvcc_cfg);
-    emit(sweep_line("mvcc_sweep", &mvcc_sweep));
+    emit(&sweep_line("mvcc_sweep", &mvcc_sweep));
 
     // 4. the cdc_checkpoint sweep: a checkpointing CDC pipeline rides
     // the group-commit + MVCC + rollback workload; at every committed
@@ -143,18 +139,17 @@ fn main() {
     cdc_cfg.driver = DriverConfig::default().with_spec_rollbacks();
     let cdc_every = (transactions / 20).max(1);
     let cdc = cdc_checkpoint_sweep(&cdc_cfg, cdc_every);
-    emit(format!(
-        "{{\"pass\":\"cdc_sweep\",\"seed\":{seed},\"transactions\":{transactions},\
-         \"checkpoint_every\":{cdc_every},\"checkpoints\":{},\"cdc_sites\":{},\
-         \"committed_prefixes\":{},\"wal_entries\":{},\"live_crashes\":{},\
-         \"unrecovered\":{}}}",
-        cdc.checkpoints_taken,
-        cdc.cdc_sites,
-        cdc.committed_prefixes,
-        cdc.wal_entries,
-        cdc.live_crashes,
-        cdc.unrecovered,
-    ));
+    emit(
+        pass("cdc_sweep")
+            .uint("transactions", transactions)
+            .uint("checkpoint_every", cdc_every)
+            .uint("checkpoints", cdc.checkpoints_taken)
+            .uint("cdc_sites", cdc.cdc_sites)
+            .uint("committed_prefixes", cdc.committed_prefixes)
+            .uint("wal_entries", cdc.wal_entries)
+            .uint("live_crashes", cdc.live_crashes)
+            .uint("unrecovered", cdc.unrecovered),
+    );
 
     // 5. soft-fault convergence
     let mut db = loader::load(dbcfg, seed);
@@ -166,23 +161,25 @@ fn main() {
     );
     let consistent = db.verify_consistency().is_consistent();
     let recovered = db.try_crash_recovery_check().unwrap_or(false);
-    emit(format!(
-        "{{\"pass\":\"soft\",\"seed\":{seed},\"transactions\":{transactions},\
-         \"io_errors\":{},\"torn_writes\":{},\"retries_taken\":{},\
-         \"consistent\":{consistent},\"recovered\":{recovered}}}",
-        soft.faults.io_errors, soft.faults.torn_writes, soft.faults.retries,
-    ));
+    emit(
+        pass("soft")
+            .uint("transactions", transactions)
+            .uint("io_errors", soft.faults.io_errors)
+            .uint("torn_writes", soft.faults.torn_writes)
+            .uint("retries_taken", soft.faults.retries)
+            .bool("consistent", consistent)
+            .bool("recovered", recovered),
+    );
 
     // 6. every WAL record boundary
     let boundaries = verify_record_boundaries(&cfg);
-    emit(format!(
-        "{{\"pass\":\"boundaries\",\"seed\":{seed},\"boundaries\":{},\
-         \"committed_prefixes\":{},\"recover_checks\":{},\"failures\":{}}}",
-        boundaries.boundaries,
-        boundaries.committed_prefixes,
-        boundaries.recover_checks,
-        boundaries.failures,
-    ));
+    emit(
+        pass("boundaries")
+            .uint("boundaries", boundaries.boundaries)
+            .uint("committed_prefixes", boundaries.committed_prefixes)
+            .uint("recover_checks", boundaries.recover_checks)
+            .uint("failures", boundaries.failures),
+    );
 
     let ok = sweep.all_recovered()
         && sweep.sites_total >= 200

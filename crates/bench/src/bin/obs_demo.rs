@@ -8,6 +8,7 @@
 //! ```
 
 use std::sync::Arc;
+use tpcc_bench::Args;
 use tpcc_db::db::DbConfig;
 use tpcc_db::driver::DriverConfig;
 use tpcc_db::{loader, Driver};
@@ -16,10 +17,7 @@ use tpcc_obs::{MemoryRecorder, Obs, SnapshotWriter};
 use tpcc_schema::relation::Relation;
 
 fn main() {
-    let transactions: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("transactions must be a u64"))
-        .unwrap_or(4000);
+    let transactions = Args::from_env("obs_demo", "[transactions]").get("transactions", 4000);
 
     // small database, deliberately tight buffer pool so the demo shows
     // real misses, evictions and write-backs, with WAL on

@@ -24,17 +24,21 @@
 
 use std::sync::Arc;
 use std::time::Instant;
+use tpcc_bench::Args;
 use tpcc_db::db::DbConfig;
 use tpcc_db::driver::DriverConfig;
 use tpcc_db::{loader, Driver, FaultPlan, GroupCommitConfig, Telemetry, TelemetryConfig};
 use tpcc_obs::{Label, MemoryRecorder, Obs};
 
-fn run_once(transactions: u64, obs: Obs, seed: u64) -> f64 {
-    let mut cfg = DbConfig::small();
-    cfg.buffer_frames = 128;
+/// Times `transactions` of the serial driver on a freshly loaded
+/// `cfg` with `obs` attached and `plan`, if any, installed.
+fn run_once(transactions: u64, cfg: DbConfig, obs: Obs, plan: Option<FaultPlan>) -> f64 {
     let mut db = loader::load(cfg, 11);
     db.set_obs(obs);
-    let mut driver = Driver::new(&db, DriverConfig::default(), seed);
+    if let Some(plan) = plan {
+        db.install_fault_plan(plan);
+    }
+    let mut driver = Driver::new(&db, DriverConfig::default(), 12);
     let start = Instant::now();
     let _ = driver.run(&mut db, transactions);
     start.elapsed().as_secs_f64()
@@ -45,9 +49,7 @@ fn run_once(transactions: u64, obs: Obs, seed: u64) -> f64 {
 /// JSON serialization every `transactions/50` completions — the
 /// full cost of live telemetry, minus only the file write (the sink
 /// is `io::sink()` so the number isn't about disk speed).
-fn run_once_flushed(transactions: u64, seed: u64) -> f64 {
-    let mut cfg = DbConfig::small();
-    cfg.buffer_frames = 128;
+fn run_once_flushed(transactions: u64, cfg: DbConfig) -> f64 {
     let mut db = loader::load(cfg, 11);
     let recorder = Arc::new(MemoryRecorder::new());
     db.set_obs(Obs::new(recorder.clone()));
@@ -60,42 +62,9 @@ fn run_once_flushed(transactions: u64, seed: u64) -> f64 {
         },
         1,
     );
-    let mut driver = Driver::new(&db, DriverConfig::default(), seed);
+    let mut driver = Driver::new(&db, DriverConfig::default(), 12);
     let start = Instant::now();
     let _ = driver.run_timeseries(&mut db, transactions, &telemetry);
-    start.elapsed().as_secs_f64()
-}
-
-/// WAL plus the group-commit pipeline on the deterministic inline
-/// schedule (no batcher thread, no simulated device wait): what the
-/// flush-path instrumentation — two counters, the commit-wait
-/// histogram, a trace event per flush — costs when a recorder is
-/// attached vs [`Obs::disabled`].
-fn run_once_grouped(transactions: u64, obs: Obs, seed: u64) -> f64 {
-    let mut cfg = DbConfig::small();
-    cfg.buffer_frames = 128;
-    cfg.enable_wal = true;
-    cfg.group_commit = Some(GroupCommitConfig::inline_every(8));
-    let mut db = loader::load(cfg, 11);
-    db.set_obs(obs);
-    let mut driver = Driver::new(&db, DriverConfig::default(), seed);
-    let start = Instant::now();
-    let _ = driver.run(&mut db, transactions);
-    start.elapsed().as_secs_f64()
-}
-
-fn run_once_faulted(transactions: u64, plan: Option<FaultPlan>, seed: u64) -> f64 {
-    // WAL on and a tight pool, so every site class is on the hot path
-    let mut cfg = DbConfig::small();
-    cfg.buffer_frames = 128;
-    cfg.enable_wal = true;
-    let mut db = loader::load(cfg, 11);
-    if let Some(plan) = plan {
-        db.install_fault_plan(plan);
-    }
-    let mut driver = Driver::new(&db, DriverConfig::default(), seed);
-    let start = Instant::now();
-    let _ = driver.run(&mut db, transactions);
     start.elapsed().as_secs_f64()
 }
 
@@ -105,28 +74,29 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let transactions: u64 = args
-        .next()
-        .map(|s| s.parse().expect("transactions must be a u64"))
-        .unwrap_or(20_000);
-    let reps: usize = args
-        .next()
-        .map(|s| s.parse().expect("reps must be a usize"))
-        .unwrap_or(5);
+    let args = Args::from_env("obs_overhead", "[transactions] [reps]");
+    let transactions = args.get("transactions", 20_000);
+    let reps = args.get("reps", 5) as usize;
+    let enabled_obs = || Obs::new(Arc::new(MemoryRecorder::new()));
+    // a pool far below the working set, so every layer is on the hot
+    // path; then the WAL; then the group-commit pipeline on the
+    // deterministic inline schedule (no batcher thread, no simulated
+    // device wait)
+    let mut tight = DbConfig::small();
+    tight.buffer_frames = 128;
+    let mut logged = tight;
+    logged.enable_wal = true;
+    let mut grouped = logged;
+    grouped.group_commit = Some(GroupCommitConfig::inline_every(8));
 
     // interleave the three configurations so drift hits all equally
     let mut disabled = Vec::with_capacity(reps);
     let mut enabled = Vec::with_capacity(reps);
     let mut flushed = Vec::with_capacity(reps);
     for rep in 0..reps {
-        disabled.push(run_once(transactions, Obs::disabled(), 12));
-        enabled.push(run_once(
-            transactions,
-            Obs::new(Arc::new(MemoryRecorder::new())),
-            12,
-        ));
-        flushed.push(run_once_flushed(transactions, 12));
+        disabled.push(run_once(transactions, tight, Obs::disabled(), None));
+        enabled.push(run_once(transactions, tight, enabled_obs(), None));
+        flushed.push(run_once_flushed(transactions, tight));
         eprintln!(
             "rep {}: disabled {:.3}s, enabled {:.3}s, enabled+flush {:.3}s",
             rep + 1,
@@ -153,17 +123,13 @@ fn main() {
 
     // group-commit flush-path instrumentation: the same driver with
     // WAL + inline group commit (every 8th commit flushes on the
-    // committing thread — no batcher, no simulated device wait, so the
-    // difference is purely the per-flush counters/histogram/trace)
+    // committing thread, so the difference is purely the per-flush
+    // counters, commit-wait histogram and trace event)
     let mut gc_disabled = Vec::with_capacity(reps);
     let mut gc_enabled = Vec::with_capacity(reps);
     for rep in 0..reps {
-        gc_disabled.push(run_once_grouped(transactions, Obs::disabled(), 12));
-        gc_enabled.push(run_once_grouped(
-            transactions,
-            Obs::new(Arc::new(MemoryRecorder::new())),
-            12,
-        ));
+        gc_disabled.push(run_once(transactions, grouped, Obs::disabled(), None));
+        gc_enabled.push(run_once(transactions, grouped, enabled_obs(), None));
         eprintln!(
             "group-commit rep {}: disabled {:.3}s, enabled {:.3}s",
             rep + 1,
@@ -187,12 +153,9 @@ fn main() {
     let mut uninstalled = Vec::with_capacity(reps);
     let mut observing = Vec::with_capacity(reps);
     for rep in 0..reps {
-        uninstalled.push(run_once_faulted(transactions, None, 12));
-        observing.push(run_once_faulted(
-            transactions,
-            Some(FaultPlan::observe(12)),
-            12,
-        ));
+        uninstalled.push(run_once(transactions, logged, Obs::disabled(), None));
+        let observe = Some(FaultPlan::observe(12));
+        observing.push(run_once(transactions, logged, Obs::disabled(), observe));
         eprintln!(
             "fault rep {}: uninstalled {:.3}s, observe {:.3}s",
             rep + 1,

@@ -1,112 +1,24 @@
-//! Runs every table and figure reproduction and writes a consolidated
-//! markdown report (the data blocks of EXPERIMENTS.md).
+//! Reproduces the paper's tables, figures and ablations: the named
+//! ones, or with no name all of them plus the consolidated markdown
+//! report (the data blocks of EXPERIMENTS.md).
 //!
 //! ```text
 //! cargo run --release -p tpcc-bench --bin repro_all -- --quality quick
+//! cargo run --release -p tpcc-bench --bin repro_all -- fig8 fig9 --csv results
 //! ```
 
-use std::io::Write;
-use std::sync::Arc;
-use tpcc_bench::Cli;
-use tpcc_model::experiments::{ablations, buffer, scaleup, skew, tables, throughput};
-use tpcc_model::Report;
-use tpcc_obs::{MemoryRecorder, Obs};
+use tpcc_bench::{repro, usage_exit, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let mut ctx = cli.context();
-    let recorder = Arc::new(MemoryRecorder::new());
-    ctx.set_obs(Obs::new(recorder.clone()));
-    let started = std::time::Instant::now();
-    let mut reports: Vec<Report> = Vec::new();
-
-    eprintln!("[1/9] tables …");
-    reports.push(tables::table1());
-    reports.push(tables::table2());
-    reports.push(tables::table3());
-    reports.push(tables::table4());
-    reports.push(tables::table6_7(&[2, 5, 10, 30]));
-
-    eprintln!("[2/9] skew (figures 3-7, appendix) …");
-    reports.push(skew::fig3_4(&ctx).report());
-    reports.push(skew::skew_checkpoints(
-        "Figure 5: stock relation skew",
-        &skew::fig5(&ctx),
-    ));
-    let (_, customer_curves) = skew::fig6_7(&ctx);
-    reports.push(skew::skew_checkpoints(
-        "Figure 7: customer relation skew",
-        &customer_curves,
-    ));
-    reports.push(skew::appendix_pmf());
-
-    eprintln!("[3/9] buffer sweeps (figure 8) — the slow part (both packings in parallel) …");
-    ctx.prefetch_sweeps();
-    reports.push(buffer::fig8(&ctx).report());
-
-    eprintln!("[4/9] throughput (figure 9) …");
-    reports.push(throughput::fig9(&ctx).report());
-
-    eprintln!("[5/9] price/performance (figure 10) …");
-    reports.push(throughput::fig10(&ctx).report());
-
-    eprintln!("[6/9] scale-up (figure 11) …");
-    reports.push(scaleup::fig11(&ctx, &[1, 2, 5, 10, 15, 20, 25, 30]).report());
-
-    eprintln!("[7/9] remote sensitivity (figure 12) …");
-    reports
-        .push(scaleup::fig12(&ctx, &[1, 2, 5, 10, 20, 30], &[0.01, 0.05, 0.1, 0.5, 1.0]).report());
-
-    eprintln!("[8/9] replacement-policy ablation …");
-    reports.push(buffer::policy_ablation(&ctx, 52 * 1024 * 1024));
-
-    eprintln!("[9/9] extensions: uniform baseline, Che/IRM, write-back, page size, mix …");
-    reports.push(ablations::uniform_baseline(&ctx));
-    reports.push(ablations::analytic_che(&ctx));
-    reports.push(ablations::write_back_study(&ctx));
-    reports.push(ablations::page_size_ablation(&ctx, 52 * 1024 * 1024));
-    reports.push(ablations::capacity_checks(&ctx));
-    let trajectories =
-        ablations::mix_stability(&ctx, ctx.quality().sweep_transactions().min(400_000));
-    reports.push(ablations::mix_stability_report(&trajectories));
-
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("usage: {}", Cli::USAGE);
+        return;
+    }
+    let reports = Cli::parse_from(args)
+        .and_then(|cli| repro::run(&cli))
+        .unwrap_or_else(|e| usage_exit(&e, Cli::USAGE));
     for r in &reports {
         println!("{r}");
     }
-
-    let out_dir = cli
-        .csv_dir
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("results"));
-    std::fs::create_dir_all(&out_dir).expect("create results dir");
-    let path = out_dir.join("experiments_generated.md");
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create md"));
-    writeln!(
-        f,
-        "# Generated experiment data ({:?} quality, seed {:#x})\n",
-        cli.quality,
-        ctx.seed()
-    )
-    .expect("write");
-    for r in &reports {
-        writeln!(f, "{}", r.to_markdown()).expect("write");
-    }
-    f.flush().expect("flush");
-
-    // final observability snapshot: one JSON line + a human table
-    let snap = recorder.snapshot();
-    let metrics_path = out_dir.join("metrics.jsonl");
-    let mut mf = std::io::BufWriter::new(std::fs::File::create(&metrics_path).expect("metrics"));
-    let t_ms = started.elapsed().as_secs_f64() * 1e3;
-    writeln!(mf, "{}", snap.to_json_line(0, 0, t_ms)).expect("write metrics");
-    mf.flush().expect("flush metrics");
-    eprintln!("{}", snap.render_table());
-    eprintln!("wrote {}", metrics_path.display());
-
-    eprintln!(
-        "wrote {} ({} reports) in {:.1}s",
-        path.display(),
-        reports.len(),
-        started.elapsed().as_secs_f64()
-    );
 }

@@ -1,15 +1,17 @@
-//! Exporters: a JSON-lines snapshot writer, a human-readable table
-//! printer, and a flame-style span summary.
+//! Exporters: a JSON object builder and a JSON-lines sink, the
+//! snapshot writer built on them, a human-readable table printer, and
+//! a flame-style span summary.
 //!
 //! JSON is emitted by hand (the workspace carries no external
 //! dependencies); the schema is documented in DESIGN.md. One snapshot
 //! is one line, so a run's output is greppable and trivially parsed by
 //! any JSON reader line by line.
 
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::time::Instant;
 
-use crate::memory::{MemoryRecorder, Snapshot, SpanStat};
+use crate::memory::{MemoryRecorder, Snapshot};
 
 /// Escapes a string for embedding in a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -28,13 +30,148 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` as a JSON number; NaN and infinities become
-/// `null` (JSON has no representation for them).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Renders a float with `decimals` fixed digits, or in its shortest
+/// round-trip form; NaN and infinities become `null` (JSON has no
+/// representation for them).
+fn json_f64(v: f64, decimals: Option<usize>) -> String {
+    match decimals {
+        _ if !v.is_finite() => "null".to_string(),
+        Some(d) => format!("{v:.d$}"),
+        None => format!("{v}"),
+    }
+}
+
+/// One JSON object under construction. Members appear in call order;
+/// every float goes through [`json_f64`], in every exporter.
+#[derive(Debug, Clone, Default)]
+pub struct JsonObject(String);
+
+impl JsonObject {
+    fn raw(&mut self, key: &str, value: fmt::Arguments<'_>) -> &mut Self {
+        let sep = if self.0.is_empty() { "" } else { "," };
+        write!(self.0, "{sep}\"{}\":{value}", json_escape(key)).expect("write to a String");
+        self
+    }
+
+    /// An unsigned integer member, of any integer type.
+    ///
+    /// # Panics
+    /// Panics if `v` is negative (or wider than a `u64`).
+    pub fn uint(&mut self, key: &str, v: impl TryInto<u64>) -> &mut Self {
+        let v = v.try_into().ok().expect("a count that fits a u64");
+        self.raw(key, format_args!("{v}"))
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        self.raw(key, format_args!("{v}"))
+    }
+
+    /// A string member (escaped).
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        self.raw(key, format_args!("\"{}\"", json_escape(v)))
+    }
+
+    /// A float in its shortest round-trip form.
+    pub fn float(&mut self, key: &str, v: f64) -> &mut Self {
+        self.raw(key, format_args!("{}", json_f64(v, None)))
+    }
+
+    /// A float with a fixed number of decimals, so a column keeps its
+    /// width from line to line.
+    pub fn fixed(&mut self, key: &str, v: f64, decimals: usize) -> &mut Self {
+        self.raw(key, format_args!("{}", json_f64(v, Some(decimals))))
+    }
+
+    /// An array of floats, each with `decimals` decimals.
+    pub fn fixed_array(&mut self, key: &str, vs: &[f64], decimals: usize) -> &mut Self {
+        let items: Vec<String> = vs.iter().map(|&v| json_f64(v, Some(decimals))).collect();
+        self.raw(key, format_args!("[{}]", items.join(",")))
+    }
+
+    /// A nested object member.
+    pub fn object(&mut self, key: &str, v: &JsonObject) -> &mut Self {
+        self.raw(key, format_args!("{v}"))
+    }
+}
+
+impl fmt::Display for JsonObject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{{{}}}", self.0)
+    }
+}
+
+/// A JSON-lines sink: one object per line, numbered by `seq` and
+/// timed on a run-relative monotonic clock `t_ms` that starts when the
+/// sink is created. Dropping the sink flushes it — including during a
+/// panic unwind — so a crashed or fault-injected run keeps every line
+/// it emitted.
+#[derive(Debug)]
+pub struct JsonLines<W: Write> {
+    out: Option<W>,
+    start: Instant,
+    seq: u64,
+}
+
+impl<W: Write> JsonLines<W> {
+    /// A sink over `out` whose `t_ms` clock starts now.
+    pub fn new(out: W) -> Self {
+        Self {
+            out: Some(out),
+            start: Instant::now(),
+            seq: 0,
+        }
+    }
+
+    /// Milliseconds since the sink's creation.
+    #[must_use]
+    pub fn t_ms(&self) -> f64 {
+        self.start.elapsed().as_secs_f64() * 1e3
+    }
+
+    /// Lines written so far, which is the next line's `seq`.
+    #[must_use]
+    pub fn lines_written(&self) -> u64 {
+        self.seq
+    }
+
+    /// An object opened with the next line's stamp: `seq`, then `t_ms`.
+    #[must_use]
+    pub fn stamped(&self) -> JsonObject {
+        let mut line = JsonObject::default();
+        line.uint("seq", self.seq).fixed("t_ms", self.t_ms(), 3);
+        line
+    }
+
+    /// Appends `line` and a newline; a write error is the sink's.
+    pub fn write(&mut self, line: &JsonObject) -> io::Result<()> {
+        // one write per line: a reader of the file never sees half of one
+        let out = self.out.as_mut().expect("sink not consumed");
+        out.write_all(format!("{line}\n").as_bytes())?;
+        self.seq += 1;
+        Ok(())
+    }
+
+    /// Flushes the underlying sink; a flush error is the sink's.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.out.as_mut().expect("sink not consumed").flush()
+    }
+
+    /// Consumes the sink, returning the underlying writer (flushed).
+    pub fn into_inner(mut self) -> W {
+        let mut out = self.out.take().expect("sink not consumed");
+        let _ = out.flush();
+        out
+    }
+}
+
+impl<W: Write> Drop for JsonLines<W> {
+    /// Best-effort flush so emitted lines survive panics and early
+    /// returns; errors are ignored (there is no one left to tell).
+    fn drop(&mut self) {
+        if let Some(out) = self.out.as_mut() {
+            let _ = out.flush();
+        }
     }
 }
 
@@ -46,55 +183,42 @@ impl Snapshot {
     /// for one-shot end-of-run snapshots with no run clock).
     #[must_use]
     pub fn to_json_line(&self, seq: u64, transactions: u64, t_ms: f64) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"seq\":{seq},\"t_ms\":{:.3},\"transactions\":{transactions},\"counters\":{{",
-            if t_ms.is_finite() { t_ms } else { 0.0 },
-        ));
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", json_escape(k)));
+        let mut line = JsonObject::default();
+        line.uint("seq", seq).fixed("t_ms", t_ms, 3);
+        self.fill(&mut line, transactions);
+        line.to_string()
+    }
+
+    /// Appends `transactions` and the four metric sections to `line`.
+    fn fill(&self, line: &mut JsonObject, transactions: u64) {
+        let mut counters = JsonObject::default();
+        for (k, v) in &self.counters {
+            counters.uint(k, *v);
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(k), json_f64(*v)));
+        let mut gauges = JsonObject::default();
+        for (k, v) in &self.gauges {
+            gauges.float(k, *v);
         }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
-                json_escape(k),
-                h.count,
-                json_f64(h.mean),
-                json_f64(h.p50),
-                json_f64(h.p95),
-                json_f64(h.p99),
-                h.max
-            ));
+        let mut histograms = JsonObject::default();
+        for (k, h) in &self.histograms {
+            let mut o = JsonObject::default();
+            o.uint("count", h.count).float("mean", h.mean);
+            o.float("p50", h.p50)
+                .float("p95", h.p95)
+                .float("p99", h.p99);
+            histograms.object(k, o.uint("max", h.max));
         }
-        out.push_str("},\"spans\":{");
-        for (i, (path, s)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"total_ns\":{},\"max_ns\":{}}}",
-                json_escape(path),
-                s.count,
-                s.total_ns,
-                s.max_ns
-            ));
+        let mut spans = JsonObject::default();
+        for (path, s) in &self.spans {
+            let mut o = JsonObject::default();
+            o.uint("count", s.count).uint("total_ns", s.total_ns);
+            spans.object(path, o.uint("max_ns", s.max_ns));
         }
-        out.push_str("}}");
-        out
+        line.uint("transactions", transactions)
+            .object("counters", &counters)
+            .object("gauges", &gauges)
+            .object("histograms", &histograms)
+            .object("spans", &spans);
     }
 
     /// Renders the snapshot as aligned, sectioned plain text.
@@ -196,35 +320,17 @@ impl Snapshot {
     }
 }
 
-/// Convenience: aggregate span statistics rooted at depth 0, i.e. the
-/// top-level spans, with their total inclusive time. Useful for quick
-/// "where did the time go" assertions in tests and demos.
-#[must_use]
-pub fn top_level_totals(snapshot: &Snapshot) -> Vec<(String, SpanStat)> {
-    snapshot
-        .spans
-        .iter()
-        .filter(|(p, _)| !p.contains('/'))
-        .cloned()
-        .collect()
-}
-
 /// Writes one JSON-lines snapshot every `every` transactions (plus a
 /// final one on [`SnapshotWriter::finish`]).
 ///
 /// The driver calls [`tick`](SnapshotWriter::tick) after each
 /// transaction; the writer decides when a snapshot is due, takes it
-/// from the recorder, and appends it to the underlying writer. Each
-/// line carries `t_ms`, the run-relative monotonic milliseconds since
-/// the writer was created. Dropping the writer flushes the sink —
-/// including during a panic unwind — so fault-injected runs keep
-/// their emitted snapshots.
+/// from the recorder, and appends it to a [`JsonLines`] sink, whose
+/// `seq` / `t_ms` stamp and flush-on-drop it inherits.
 #[derive(Debug)]
 pub struct SnapshotWriter<W: Write> {
-    out: Option<W>,
-    start: Instant,
+    lines: JsonLines<W>,
     every: u64,
-    seq: u64,
     last_emitted_at: u64,
 }
 
@@ -234,10 +340,8 @@ impl<W: Write> SnapshotWriter<W> {
     /// now.
     pub fn new(out: W, every: u64) -> Self {
         Self {
-            out: Some(out),
-            start: Instant::now(),
+            lines: JsonLines::new(out),
             every: every.max(1),
-            seq: 0,
             last_emitted_at: 0,
         }
     }
@@ -265,44 +369,28 @@ impl<W: Write> SnapshotWriter<W> {
     /// # Errors
     /// Propagates write errors from the underlying sink.
     pub fn finish(&mut self, recorder: &MemoryRecorder, transactions_done: u64) -> io::Result<()> {
-        if transactions_done != self.last_emitted_at || self.seq == 0 {
+        if transactions_done != self.last_emitted_at || self.snapshots_written() == 0 {
             self.emit(recorder, transactions_done)?;
         }
-        self.out.as_mut().expect("writer not consumed").flush()
+        self.lines.flush()
     }
 
     fn emit(&mut self, recorder: &MemoryRecorder, transactions_done: u64) -> io::Result<()> {
-        let t_ms = self.start.elapsed().as_secs_f64() * 1e3;
-        let line = recorder
-            .snapshot()
-            .to_json_line(self.seq, transactions_done, t_ms);
-        writeln!(self.out.as_mut().expect("writer not consumed"), "{line}")?;
-        self.seq += 1;
+        let mut line = self.lines.stamped();
+        recorder.snapshot().fill(&mut line, transactions_done);
         self.last_emitted_at = transactions_done;
-        Ok(())
+        self.lines.write(&line)
     }
 
     /// Snapshots emitted so far.
     #[must_use]
     pub fn snapshots_written(&self) -> u64 {
-        self.seq
+        self.lines.lines_written()
     }
 
     /// Consumes the writer, returning the underlying sink (flushed).
-    pub fn into_inner(mut self) -> W {
-        let mut out = self.out.take().expect("writer not consumed");
-        let _ = out.flush();
-        out
-    }
-}
-
-impl<W: Write> Drop for SnapshotWriter<W> {
-    /// Best-effort flush so emitted snapshots survive panics and early
-    /// returns; errors are ignored (there is no one left to tell).
-    fn drop(&mut self) {
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
-        }
+    pub fn into_inner(self) -> W {
+        self.lines.into_inner()
     }
 }
 
@@ -335,17 +423,23 @@ mod tests {
         assert!(line.contains("\"new_order/lookup\":{\"count\":1,\"total_ns\":1000,"));
         assert!(!line.contains('\n'));
         // braces balance (no quoting subtleties in these keys)
-        let opens = line.matches('{').count();
-        let closes = line.matches('}').count();
-        assert_eq!(opens, closes);
+        assert_eq!(line.matches('{').count(), line.matches('}').count());
     }
 
     #[test]
-    fn json_escapes_and_nan_to_null() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+    fn object_members_keep_call_order_escape_and_null_non_finite_floats() {
+        let mut inner = JsonObject::default();
+        inner.fixed("p50_us", f64::NAN, 1).fixed("p95_us", 2.25, 1);
+        let mut o = JsonObject::default();
+        o.uint("n", 7).bool("ok", true).str("a\"b\\c\nd", "x\ty");
+        o.float("inf", f64::INFINITY).float("v", 1.5);
+        o.fixed("w", 2.0, 3).object("latency", &inner);
+        o.fixed_array("tpm", &[1.0, f64::NAN], 1);
+        assert_eq!(
+            o.to_string(),
+            "{\"n\":7,\"ok\":true,\"a\\\"b\\\\c\\nd\":\"x\\ty\",\"inf\":null,\"v\":1.5,\
+             \"w\":2.000,\"latency\":{\"p50_us\":null,\"p95_us\":2.2},\"tpm\":[1.0,null]}"
+        );
     }
 
     #[test]
@@ -359,9 +453,6 @@ mod tests {
         assert!(flame.contains("new_order"));
         // child indented under parent, self time subtracted
         assert!(flame.contains("  lookup") || flame.contains("    lookup"));
-        let tops = top_level_totals(&snap);
-        assert_eq!(tops.len(), 1);
-        assert_eq!(tops[0].1.total_ns, 4000);
     }
 
     #[test]
@@ -393,33 +484,30 @@ mod tests {
             Ok(buf.len())
         }
         fn flush(&mut self) -> io::Result<()> {
-            self.persisted
-                .lock()
-                .unwrap()
-                .extend_from_slice(&self.buffered);
-            self.buffered.clear();
+            self.persisted.lock().unwrap().append(&mut self.buffered);
             Ok(())
         }
     }
 
+    /// Both writers sit on this sink, so this is their guarantee too.
     #[test]
-    fn snapshot_writer_flushes_on_panic_unwind() {
-        let rec = sample_recorder();
+    fn sink_flushes_written_lines_on_panic_unwind() {
         let persisted = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = FlushGate {
             buffered: Vec::new(),
             persisted: persisted.clone(),
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut w = SnapshotWriter::new(sink, 10);
-            w.tick(&rec, 10).unwrap();
+            let mut lines = JsonLines::new(sink);
+            let mut line = lines.stamped();
+            lines.write(line.uint("transactions", 10)).unwrap();
             panic!("simulated fault-injected crash");
         }));
         assert!(result.is_err());
         let got = String::from_utf8(persisted.lock().unwrap().clone()).unwrap();
         assert!(
-            got.contains("\"transactions\":10"),
-            "the emitted snapshot survived the panic: {got:?}"
+            got.starts_with("{\"seq\":0,\"t_ms\":") && got.ends_with(",\"transactions\":10}\n"),
+            "the written line survived the panic: {got:?}"
         );
     }
 }

@@ -52,7 +52,7 @@ mod sketch;
 mod timeseries;
 mod trace;
 
-pub use export::{top_level_totals, SnapshotWriter};
+pub use export::{JsonLines, JsonObject, SnapshotWriter};
 pub use handle::{CounterHandle, GaugeHandle, HandleTimer, HistogramHandle, TraceHandle};
 pub use memory::{MemoryRecorder, Snapshot, SpanEvent, SpanStat, DEFAULT_SPAN_RING};
 pub use recorder::{Label, LatencyTimer, NoopRecorder, Obs, Recorder, SpanGuard};

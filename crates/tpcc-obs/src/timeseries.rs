@@ -8,14 +8,14 @@
 //! quantiles, counter deltas, derived gauges) and the writer stamps it
 //! with a monotonically increasing `seq` and a **run-relative
 //! monotonic timestamp** `t_ms`, then appends one JSON line. Like
-//! [`SnapshotWriter`](crate::SnapshotWriter), it flushes on drop —
-//! including during a panic unwind — so a crashed or fault-injected
-//! run keeps its last complete window on disk.
+//! [`SnapshotWriter`](crate::SnapshotWriter), it writes through a
+//! [`JsonLines`] sink, which flushes on drop — including during a
+//! panic unwind — so a crashed or fault-injected run keeps its last
+//! complete window on disk.
 
 use std::io::{self, Write};
-use std::time::Instant;
 
-use crate::export::json_f64;
+use crate::export::{JsonLines, JsonObject};
 
 /// Per-series (e.g. per transaction type) window statistics, taken
 /// from a window-delta quantile sketch.
@@ -52,27 +52,19 @@ pub struct TimeSeriesPoint {
 /// Appends one JSON line per window, stamped with `seq` and the
 /// run-relative monotonic `t_ms`.
 #[derive(Debug)]
-pub struct TimeSeriesWriter<W: Write> {
-    out: Option<W>,
-    start: Instant,
-    seq: u64,
-}
+pub struct TimeSeriesWriter<W: Write>(JsonLines<W>);
 
 impl<W: Write> TimeSeriesWriter<W> {
     /// A writer whose `t_ms` clock starts now.
     pub fn new(out: W) -> Self {
-        Self {
-            out: Some(out),
-            start: Instant::now(),
-            seq: 0,
-        }
+        Self(JsonLines::new(out))
     }
 
     /// Milliseconds since the writer's creation (the run-relative
     /// clock every emitted point is stamped with).
     #[must_use]
     pub fn t_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e3
+        self.0.t_ms()
     }
 
     /// Appends one point as a JSON line, stamping `seq` and `t_ms`.
@@ -80,56 +72,36 @@ impl<W: Write> TimeSeriesWriter<W> {
     /// # Errors
     /// Propagates write errors from the underlying sink.
     pub fn emit(&mut self, point: &TimeSeriesPoint) -> io::Result<()> {
-        let t_ms = self.t_ms();
-        let mut line = String::with_capacity(512);
         let window_s = (point.window_ms / 1e3).max(f64::MIN_POSITIVE);
-        line.push_str(&format!(
-            "{{\"seq\":{},\"t_ms\":{:.3},\"window_ms\":{:.3},\"txns\":{},\"tps\":{}",
-            self.seq,
-            t_ms,
-            point.window_ms,
-            point.txns,
-            json_f64(point.txns as f64 / window_s),
-        ));
-        line.push_str(",\"types\":{");
-        for (i, (name, s)) in point.series.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!(
-                "\"{name}\":{{\"txns\":{},\"tps\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
-                s.txns,
-                json_f64(s.tps),
-                json_f64(s.p50_us),
-                json_f64(s.p95_us),
-                json_f64(s.p99_us),
-            ));
+        let mut types = JsonObject::default();
+        for (name, s) in &point.series {
+            let mut o = JsonObject::default();
+            o.uint("txns", s.txns).float("tps", s.tps);
+            o.float("p50_us", s.p50_us).float("p95_us", s.p95_us);
+            types.object(name, o.float("p99_us", s.p99_us));
         }
-        line.push_str("},\"counters\":{");
-        for (i, (name, v)) in point.counters.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!("\"{name}\":{v}"));
+        let mut counters = JsonObject::default();
+        for (name, v) in &point.counters {
+            counters.uint(name, *v);
         }
-        line.push_str("},\"gauges\":{");
-        for (i, (name, v)) in point.gauges.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!("\"{name}\":{}", json_f64(*v)));
+        let mut gauges = JsonObject::default();
+        for (name, v) in &point.gauges {
+            gauges.float(name, *v);
         }
-        line.push_str("}}");
-        let out = self.out.as_mut().expect("writer not consumed");
-        writeln!(out, "{line}")?;
-        self.seq += 1;
-        Ok(())
+        let mut line = self.0.stamped();
+        line.fixed("window_ms", point.window_ms, 3)
+            .uint("txns", point.txns)
+            .float("tps", point.txns as f64 / window_s)
+            .object("types", &types)
+            .object("counters", &counters)
+            .object("gauges", &gauges);
+        self.0.write(&line)
     }
 
     /// Points emitted so far.
     #[must_use]
     pub fn points_written(&self) -> u64 {
-        self.seq
+        self.0.lines_written()
     }
 
     /// Flushes the underlying sink.
@@ -137,24 +109,12 @@ impl<W: Write> TimeSeriesWriter<W> {
     /// # Errors
     /// Propagates flush errors from the underlying sink.
     pub fn finish(&mut self) -> io::Result<()> {
-        self.out.as_mut().expect("writer not consumed").flush()
+        self.0.flush()
     }
 
     /// Consumes the writer, returning the underlying sink (flushed).
-    pub fn into_inner(mut self) -> W {
-        let mut out = self.out.take().expect("writer not consumed");
-        let _ = out.flush();
-        out
-    }
-}
-
-impl<W: Write> Drop for TimeSeriesWriter<W> {
-    /// Best-effort flush so buffered windows survive panics and early
-    /// returns; errors are ignored (there is no one left to tell).
-    fn drop(&mut self) {
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
-        }
+    pub fn into_inner(self) -> W {
+        self.0.into_inner()
     }
 }
 
@@ -184,9 +144,11 @@ mod tests {
     #[test]
     fn emitted_lines_are_stamped_and_wellformed() {
         let mut w = TimeSeriesWriter::new(Vec::new());
+        let t0 = w.t_ms();
         w.emit(&sample_point()).unwrap();
         w.emit(&sample_point()).unwrap();
         assert_eq!(w.points_written(), 2);
+        assert!(w.t_ms() >= t0, "the run clock is monotonic");
         let out = String::from_utf8(w.into_inner()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -201,55 +163,5 @@ mod tests {
             assert!(l.contains("\"miss_ppm\":1234"));
             assert_eq!(l.matches('{').count(), l.matches('}').count());
         }
-    }
-
-    #[test]
-    fn t_ms_is_monotonic() {
-        let mut w = TimeSeriesWriter::new(Vec::new());
-        let a = w.t_ms();
-        w.emit(&sample_point()).unwrap();
-        let b = w.t_ms();
-        assert!(b >= a);
-    }
-
-    /// A sink that only counts as "persisted" what was flushed.
-    struct FlushGate {
-        buffered: Vec<u8>,
-        persisted: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
-    }
-
-    impl Write for FlushGate {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.buffered.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            self.persisted
-                .lock()
-                .unwrap()
-                .extend_from_slice(&self.buffered);
-            self.buffered.clear();
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn drop_flushes_even_through_panic_unwind() {
-        let persisted = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = FlushGate {
-            buffered: Vec::new(),
-            persisted: persisted.clone(),
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut w = TimeSeriesWriter::new(sink);
-            w.emit(&sample_point()).unwrap();
-            panic!("simulated fault-injected crash");
-        }));
-        assert!(result.is_err());
-        let got = String::from_utf8(persisted.lock().unwrap().clone()).unwrap();
-        assert!(
-            got.contains("\"seq\":0"),
-            "the emitted window survived the panic: {got:?}"
-        );
     }
 }
