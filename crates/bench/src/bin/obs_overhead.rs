@@ -80,7 +80,7 @@ fn main() {
     let enabled_obs = || Obs::new(Arc::new(MemoryRecorder::new()));
     // a pool far below the working set, so every layer is on the hot
     // path; then the WAL; then the group-commit pipeline on the
-    // deterministic inline schedule (no batcher thread, no simulated
+    // deterministic inline schedule (no ticket wait, no simulated
     // device wait)
     let mut tight = DbConfig::small();
     tight.buffer_frames = 128;

@@ -237,7 +237,7 @@ fn group_commit(args: &Args, out: Sink) -> Result<(), Vec<String>> {
             let lambda = report.total() as f64 / elapsed;
             let bytes_per_txn = encoded as f64 / report.total().max(1) as f64;
             let executed_util = encoded as f64 / elapsed / model.bandwidth_bytes_per_sec;
-            // a synchronous commit waits on no batcher: 0, not "no samples"
+            // a synchronous commit waits on no ticket: 0, not "no samples"
             let wait_us = |q| gc.map_or(0.0, |_| deltas.commit_wait_ns.quantile(q) / 1e3);
             let mut line = JsonObject::default();
             line.fixed("t_ms", out.t_ms(), 3)

@@ -49,7 +49,7 @@ pub struct DbConfig {
     /// Group-commit pipeline knobs (`None` = synchronous durability,
     /// the default). Requires `enable_wal`; applied after load like
     /// `io_delay_us`, so load-time traffic is not batched. See
-    /// `tpcc_storage::logmgr` for the ticket/batcher protocol.
+    /// `tpcc_storage::logmgr` for the leader-follower ticket protocol.
     pub group_commit: Option<GroupCommitConfig>,
     /// Enable MVCC snapshot reads (off by default, preserving the
     /// historical execution byte-for-byte). When on, writers stamp

@@ -812,7 +812,7 @@ fn record_plain_run(cfg: &SweepConfig) -> (Wal, DiskManager) {
 
 /// The database configuration the sweep harnesses actually run: WAL
 /// forced on, and any requested group commit normalised to the
-/// deterministic inline flush schedule (the threaded batcher's timing
+/// deterministic inline flush schedule (threaded leader election
 /// would make site numbering non-reproducible).
 fn sweep_db_config(cfg: &SweepConfig) -> DbConfig {
     let mut dbcfg = cfg.db;

@@ -309,7 +309,7 @@ mod tests {
     /// - the quiesced durable watermark covers every appended entry
     ///   and commit — a woken terminal's commit is always inside the
     ///   durably flushed prefix, never the volatile tail;
-    /// - the batcher flushed exactly the commits the terminals logged
+    /// - the leaders flushed exactly the commits the terminals logged
     ///   (each exactly once), and every commit contributed one wait
     ///   sample — everyone who enqueued was woken.
     #[test]

@@ -29,10 +29,9 @@
 //! * shard mutex → WAL mutex (page deallocation unmaps, frees and logs
 //!   atomically) — safe because no WAL holder ever takes a shard mutex;
 //! * WAL mutex → disk mutex (allocation logging), never the reverse;
-//! * WAL mutex → group-commit state mutex (the `logmgr` batcher and
-//!   ticket waiters), never the reverse — the batcher thread sits at
-//!   the bottom of the hierarchy and never touches a shard mutex or a
-//!   frame latch (see DESIGN.md §10).
+//! * group commit adds no mutex: `logmgr` leaders and followers wait
+//!   on a condvar paired with the WAL mutex and never touch a shard
+//!   mutex or a frame latch (see DESIGN.md §10).
 //!
 //! Page-level ordering (who may hold two frame latches at once) is the
 //! caller's contract: the B+Tree acquires top-down / left-to-right and
@@ -238,7 +237,7 @@ pub struct BufferManager {
     /// its `base`/`meta.len()`.
     frames: Box<[FrameCell]>,
     shards: Box<[Mutex<Shard>]>,
-    /// The redo log, behind an `Arc` so the group-commit batcher thread
+    /// The redo log, behind an `Arc` so the group-commit pipeline
     /// (when enabled) can share it with the pool.
     wal: Arc<Mutex<Option<Wal>>>,
     wal_on: AtomicBool,
@@ -395,22 +394,17 @@ impl BufferManager {
     /// latched in the pool, before it can reach disk).
     pub fn enable_wal(&mut self) {
         let mut wal = self.wal.lock().expect("wal lock");
-        let fresh = wal.is_none();
         let wal = wal.get_or_insert_with(Wal::new);
         if let Some(hook) = &self.fault {
             // a re-enabled WAL (e.g. after try_crash_recovery_check
             // detached the old one) keeps the installed fault hook
             wal.set_fault_hook(Arc::clone(hook));
         }
-        if let Some(lm) = &self.logmgr {
+        if self.logmgr.is_some() {
             // a re-enabled WAL under group commit stays on deferred
-            // (flushed-prefix) durability
+            // (flushed-prefix) durability; its tickets restart with its
+            // own commit count
             wal.set_deferred(true);
-            if fresh {
-                // tickets are commit counts of *this* log: a fresh one
-                // restarts at 0, and so must the pipeline's watermarks
-                lm.restart_tickets();
-            }
         }
         self.wal_on.store(true, Ordering::Release);
     }
@@ -418,11 +412,10 @@ impl BufferManager {
     /// Turns on group commit: the WAL switches to deferred
     /// (flushed-prefix) durability and every [`BufferManager::log_commit`]
     /// goes through the [`LogManager`] ticket pipeline — blocking until
-    /// a batcher flush covers the commit (threaded mode) or following
+    /// a leader's flush covers the commit (threaded mode) or following
     /// the inline flush schedule (deterministic sweeps). Enables the
     /// WAL if it was not already on. Replaces any previous pipeline.
     pub fn enable_group_commit(&mut self, cfg: GroupCommitConfig) {
-        self.logmgr = None; // shut a previous batcher down first
         self.enable_wal();
         if let Some(wal) = self.wal.lock().expect("wal lock").as_mut() {
             wal.set_deferred(true);

@@ -252,6 +252,13 @@ impl Wal {
         self.hook = Some(hook);
     }
 
+    /// True once the attached fault hook's crash has tripped: appends
+    /// are dropped and flushes no longer move the durable watermark.
+    #[must_use]
+    pub fn crashed(&self) -> bool {
+        self.hook.as_ref().is_some_and(|h| h.crashed())
+    }
+
     /// Switches between synchronous (`false`, the default) and deferred
     /// (`true`, group-commit) durability. Leaving deferred mode
     /// promotes the current tail to durable in one step — callers

@@ -8,13 +8,12 @@
 //! pages) plus allocation records, for the heaps *and* for the ten
 //! B+Tree indexes the model does not account for. Heap deltas track
 //! tuple bytes closely (the segmented encoder skips the untouched
-//! span between a page's slot directory and its record area), but an
-//! index insert shifts the tail of a sorted node array and logs the
-//! shifted suffix — measured, that index maintenance roughly doubles
-//! the §5 tuple-only volume. We therefore hold the executed volume to
-//! a stated factor-of-three band around the §5 prediction; the
-//! `probe_volume_composition` probe (ignored by default) prints the
-//! per-file breakdown behind that number.
+//! span between a page's slot directory and its record area), and
+//! run-aware leaf splits keep an index insert from logging a shifted
+//! node-array suffix, so the executed volume lands just under the §5
+//! tuple-only volume. We hold it to a stated factor-of-1.5 band around
+//! the §5 prediction; the `probe_volume_composition` probe (ignored by
+//! default) prints the per-file breakdown behind that number.
 //!
 //! Group-commit batching is cross-checked twice: the deterministic
 //! inline schedule must match its configured group size exactly, and a
@@ -30,9 +29,11 @@ use tpcc_suite::workload::TransactionMix;
 /// track the §5 after-image accounting. Heap deltas can undershoot a
 /// full after-image (only the touched range is logged); B+Tree
 /// node-array shifts — outside the model's tuple-only accounting —
-/// overshoot it. Measured: ~0.9x at the paper mix (~2.3x while index
-/// leaves split in the middle and every insert logged a shifted range).
-const VOLUME_BAND: f64 = 3.0;
+/// overshoot it. Measured at seeds 7 / 21 / 42: volume 0.93 / 0.80 /
+/// 0.89x, threaded utilization 0.89-0.91 / 0.82-0.83 / 0.89-0.90x
+/// (~2.3x while index leaves split in the middle and every insert
+/// logged a shifted range, when the band was 3).
+const VOLUME_BAND: f64 = 1.5;
 
 /// Deep pending queue so Delivery never skips a district (the model
 /// assumes all ten districts deliver), plus WAL on.
@@ -90,8 +91,7 @@ fn inline_group_commit_matches_its_configured_group_size() {
     );
 }
 
-/// The ISSUE's acceptance run: 8 terminals through the threaded
-/// batcher. Commits per flush must exceed one (grouping is real), the
+/// 8 terminals through threaded (leader-follower) group commit. Commits per flush must exceed one (grouping is real), the
 /// p95 commit wait must stay bounded by the flush window plus the
 /// simulated device write, and the executed log utilization at the
 /// measured throughput must sit in the §5 band.
