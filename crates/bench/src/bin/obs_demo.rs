@@ -1,19 +1,20 @@
 //! Observability demo: runs a short mixed TPC-C workload against the
 //! executable database with a metrics recorder attached, then prints
 //! the flame-style span summary, a per-relation buffer table, and the
-//! JSON-lines snapshots the run produced.
+//! JSON-lines snapshots taken after each quarter of the run.
 //!
 //! ```text
 //! cargo run --release -p tpcc-bench --bin obs_demo -- [transactions]
 //! ```
 
 use std::sync::Arc;
+use std::time::Instant;
 use tpcc_bench::Args;
 use tpcc_db::db::DbConfig;
 use tpcc_db::driver::DriverConfig;
 use tpcc_db::{loader, Driver};
 use tpcc_model::{fnum, Report};
-use tpcc_obs::{MemoryRecorder, Obs, SnapshotWriter};
+use tpcc_obs::{MemoryRecorder, Obs};
 use tpcc_schema::relation::Relation;
 
 fn main() {
@@ -30,12 +31,22 @@ fn main() {
     db.set_obs(Obs::new(recorder.clone()));
 
     let mut driver = Driver::new(&db, DriverConfig::default().with_spec_rollbacks(), 7);
-    let mut writer = SnapshotWriter::new(Vec::new(), transactions.div_ceil(4).max(1));
-    let report = driver
-        .run_snapshotting(&mut db, transactions, &recorder, &mut writer)
-        .expect("in-memory snapshot sink cannot fail");
-    let written = writer.snapshots_written();
-    let jsonl = writer.into_inner();
+    let start = Instant::now();
+    let period = transactions.div_ceil(4).max(1);
+    let (mut done, mut executed, mut rollbacks) = (0, [0u64; 5], 0);
+    let mut jsonl = Vec::new();
+    while done < transactions {
+        let chunk = period.min(transactions - done);
+        let report = driver.run(&mut db, chunk);
+        for (sum, n) in executed.iter_mut().zip(report.executed) {
+            *sum += n;
+        }
+        rollbacks += report.rollbacks;
+        done += chunk;
+        let t_ms = start.elapsed().as_secs_f64() * 1e3;
+        let seq = jsonl.len() as u64;
+        jsonl.push(recorder.snapshot().to_json_line(seq, done, t_ms));
+    }
 
     let snap = recorder.snapshot();
     println!("{}", snap.render_table());
@@ -78,11 +89,12 @@ fn main() {
         ]);
     }
     table.push_note(format!(
-        "executed per type: {:?}; rollbacks: {}",
-        report.executed, report.rollbacks
+        "executed per type: {executed:?}; rollbacks: {rollbacks}"
     ));
     println!("{table}");
 
-    println!("json-lines snapshots written: {written}");
-    print!("{}", String::from_utf8(jsonl).expect("snapshots are utf-8"));
+    println!("json-lines snapshots written: {}", jsonl.len());
+    for line in jsonl {
+        println!("{line}");
+    }
 }

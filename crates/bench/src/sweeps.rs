@@ -746,7 +746,6 @@ fn timeseries(args: &Args, out: Sink) -> Result<(), Vec<String>> {
     let tel_cfg = TelemetryConfig {
         every_txns: if every_ms > 0 { 0 } else { every_txns },
         every_ms,
-        ..TelemetryConfig::default()
     };
     let telemetry = Telemetry::new(recorder, out, tel_cfg, threads as usize);
     let driver = ParallelDriver::new(spec.driver, threads, seed);

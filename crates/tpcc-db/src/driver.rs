@@ -12,7 +12,6 @@ use crate::db::TpccDb;
 use crate::telemetry::Telemetry;
 use crate::terminal::{OneNode, Shard, Terminal};
 use crate::txns::{CustomerSelector, OrderLineReq};
-use tpcc_obs::{MemoryRecorder, SnapshotWriter};
 use tpcc_rand::{NuRand, Xoshiro256};
 use tpcc_schema::relation::Relation;
 use tpcc_storage::BufferStats;
@@ -25,6 +24,10 @@ pub const TX_NAMES: [&str; 5] = [
     "delivery",
     "stock_level",
 ];
+
+/// Items per New-Order when [`DriverConfig::spec_item_counts`] is off
+/// (the paper fixes 10).
+const ITEMS_PER_ORDER: u64 = 10;
 
 /// Driver configuration: the paper's mix and clause probabilities.
 #[derive(Debug, Clone, Copy)]
@@ -40,10 +43,8 @@ pub struct DriverConfig {
     pub remote_payment_prob: f64,
     /// P(customer selected by last name) (0.60).
     pub by_name_prob: f64,
-    /// Items per order (paper: fixed 10).
-    pub items_per_order: u64,
     /// Draw the item count uniformly from 5–15 per clause 2.4.1.3
-    /// instead of using the fixed `items_per_order`. Off by default:
+    /// instead of the paper's fixed 10. Off by default:
     /// the paper fixes 10 ("this assumption has no effect since we
     /// only report mean miss rates"), and the uniform draw has the
     /// same mean.
@@ -64,7 +65,6 @@ impl Default for DriverConfig {
             remote_stock_prob: tpcc_cost::distributed::REMOTE_STOCK_PROB,
             remote_payment_prob: tpcc_cost::distributed::REMOTE_PAYMENT_PROB,
             by_name_prob: 0.60,
-            items_per_order: 10,
             spec_item_counts: false,
             rollback_prob: 0.0,
         }
@@ -294,7 +294,7 @@ impl InputGen {
         let count = if self.cfg.spec_item_counts {
             self.rng.uniform_inclusive(5, 15)
         } else {
-            self.cfg.items_per_order
+            ITEMS_PER_ORDER
         };
         let mut lines: Vec<OrderLineReq> = (0..count)
             .map(|_| OrderLineReq {
@@ -397,34 +397,6 @@ impl Driver {
         let mut report = DriverReport::default();
         self.run_into(&mut report, db, transactions, None);
         report.with_buffer_stats(db)
-    }
-
-    /// Like [`Driver::run`], but additionally emits a JSON-lines
-    /// metrics snapshot every `writer`-configured period: the run is
-    /// executed one period at a time, and `writer` snapshots `recorder`
-    /// between periods. A final snapshot is always written. Attach
-    /// `recorder` to `db` (via [`TpccDb::set_obs`]) before calling, or
-    /// the snapshots will be empty.
-    ///
-    /// # Errors
-    /// Propagates write errors from the snapshot sink.
-    pub fn run_snapshotting<W: std::io::Write>(
-        &mut self,
-        db: &mut TpccDb,
-        transactions: u64,
-        recorder: &MemoryRecorder,
-        writer: &mut SnapshotWriter<W>,
-    ) -> std::io::Result<DriverReport> {
-        let mut report = DriverReport::default();
-        let mut done = 0;
-        while done < transactions {
-            let period = writer.period().min(transactions - done);
-            self.run_into(&mut report, db, period, None);
-            done += period;
-            writer.tick(recorder, done)?;
-        }
-        writer.finish(recorder, transactions)?;
-        Ok(report.with_buffer_stats(db))
     }
 
     /// Like [`Driver::run`] with live windowed telemetry: each
@@ -560,7 +532,7 @@ mod tests {
     #[test]
     fn observed_run_exports_latency_percentiles_and_relation_counters() {
         use std::sync::Arc;
-        use tpcc_obs::{MemoryRecorder, Obs, SnapshotWriter};
+        use tpcc_obs::{MemoryRecorder, Obs};
 
         let recorder = Arc::new(MemoryRecorder::new());
         let mut cfg = DbConfig::small();
@@ -569,16 +541,10 @@ mod tests {
         db.set_obs(Obs::new(recorder.clone()));
         db.reset_stats();
         let mut driver = Driver::new(&db, DriverConfig::default(), 32);
-        let mut writer = SnapshotWriter::new(Vec::new(), 500);
-        let report = driver
-            .run_snapshotting(&mut db, 1200, &recorder, &mut writer)
-            .expect("vec sink");
+        let report = driver.run(&mut db, 1200);
         assert_eq!(report.executed.iter().sum::<u64>(), 1200);
 
-        let out = String::from_utf8(writer.into_inner()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3, "snapshots at 500, 1000 and final 1200");
-        let last = lines.last().unwrap();
+        let last = recorder.snapshot().to_json_line(0, 1200, 0.0);
         // per-transaction-type latency percentiles
         for tx in TX_NAMES {
             assert!(

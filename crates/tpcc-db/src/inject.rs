@@ -13,7 +13,7 @@
 //! 2. **Verify** — because recovery replays only the WAL's committed
 //!    prefix over the post-load checkpoint (it never reads the crashed
 //!    device image), "crash at site *k*" is fully characterised by the
-//!    WAL frozen at *k*'s instant. [`PrefixVerifier`] replays each
+//!    WAL frozen at *k*'s instant. `PrefixVerifier` replays each
 //!    distinct prefix incrementally over one evolving disk image and
 //!    compares it against a **lockstep oracle**: a second database
 //!    advanced transaction-by-transaction to the same commit count.

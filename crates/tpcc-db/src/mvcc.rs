@@ -5,7 +5,7 @@
 //! # Write side
 //!
 //! A writer transaction (New-Order, Payment, Delivery) opens a
-//! thread-local [`WriteCtx`] via [`TpccDb::begin_write`]. Every write
+//! thread-local `WriteCtx` via `TpccDb::begin_write`. Every write
 //! then goes through the wrappers below, which — only when `cfg.mvcc`
 //! is on and a context is open — capture two things *before* mutating
 //! the live bytes:
@@ -14,13 +14,13 @@
 //!   snapshot readers can reach (the versioned relations plus the
 //!   `last_order` index values), and
 //! * a logical **undo op** for *every* write, so
-//!   [`TpccDb::abort_write`] can unwind the transaction in reverse —
+//!   `TpccDb::abort_write` can unwind the transaction in reverse —
 //!   the restoring writes go through the ordinary heap/tree calls and
 //!   are therefore WAL-logged page deltas themselves (compensation by
 //!   redo: replaying forward + compensating deltas reproduces the
 //!   abort, keeping crash sweeps exact).
 //!
-//! [`TpccDb::commit`] consumes the context after the commit record is
+//! `TpccDb::commit` consumes the context after the commit record is
 //! logged: [`UndoStore::commit`] stamps the pending chain entries and
 //! publishes the new snapshot timestamp.
 //!
@@ -30,8 +30,8 @@
 //!
 //! # Read side
 //!
-//! [`TpccDb::snapshot`] pins a timestamp; [`TpccDb::read_row_at`] /
-//! [`TpccDb::last_order_at`] read the live bytes first (under the
+//! [`TpccDb::snapshot`] pins a timestamp; `TpccDb::read_row_at` /
+//! `TpccDb::last_order_at` read the live bytes first (under the
 //! page's frame latch) and then resolve through the version chain, so
 //! a reader holding only a [`Snapshot`] — and **zero logical locks** —
 //! sees the newest committed version at or before its pin.

@@ -38,7 +38,6 @@ use std::time::Instant;
 use crate::driver::TX_NAMES;
 use tpcc_obs::{
     Label, MemoryRecorder, QuantileSketch, SeriesStat, TimeSeriesPoint, TimeSeriesWriter,
-    DEFAULT_SKETCH_ALPHA,
 };
 
 /// Counters whose per-window deltas are exported on every point
@@ -72,30 +71,18 @@ const IDX_WAL_FLUSHES: usize = 6;
 const IDX_GROUP_COMMITS: usize = 7;
 
 /// When to flush a window.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TelemetryConfig {
     /// Harvest every this many completed transactions (0 = off).
     pub every_txns: u64,
     /// Harvest every this many milliseconds (0 = off; parallel driver
     /// only — the serial driver has no flusher thread).
     pub every_ms: u64,
-    /// Relative accuracy of the per-terminal latency sketches.
-    pub sketch_alpha: f64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            every_txns: 0,
-            every_ms: 0,
-            sketch_alpha: DEFAULT_SKETCH_ALPHA,
-        }
-    }
 }
 
 /// One terminal's cumulative telemetry state. Monotonic: the harvester
 /// diffs clones, nothing is ever reset.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WindowAccum {
     executed: [u64; 5],
     retries: u64,
@@ -103,14 +90,6 @@ pub struct WindowAccum {
 }
 
 impl WindowAccum {
-    fn new(alpha: f64) -> Self {
-        Self {
-            executed: [0; 5],
-            retries: 0,
-            lat: std::array::from_fn(|_| QuantileSketch::new(alpha)),
-        }
-    }
-
     /// Records one completed transaction of type `t` with latency `ns`.
     pub fn record(&mut self, t: usize, ns: u64) {
         self.executed[t] += 1;
@@ -167,16 +146,15 @@ impl Telemetry {
         cfg: TelemetryConfig,
         terminals: usize,
     ) -> Arc<Self> {
-        let alpha = cfg.sketch_alpha;
         let terminals = terminals.max(1);
         Arc::new(Self {
             shards: (0..terminals)
-                .map(|_| Arc::new(Mutex::new(WindowAccum::new(alpha))))
+                .map(|_| Arc::new(Mutex::new(WindowAccum::default())))
                 .collect(),
             recorder,
             writer: Mutex::new(TimeSeriesWriter::new(out)),
             harvest_state: Mutex::new(HarvestState {
-                prev_shards: vec![WindowAccum::new(alpha); terminals],
+                prev_shards: vec![WindowAccum::default(); terminals],
                 prev_counters: [0; WINDOW_COUNTERS.len()],
                 prev_commit_wait: QuantileSketch::default(),
                 prev_cdc_lag: QuantileSketch::default(),
@@ -225,8 +203,7 @@ impl Telemetry {
             .collect();
         let mut executed = [0u64; 5];
         let mut retries = 0u64;
-        let mut lat: [QuantileSketch; 5] =
-            std::array::from_fn(|_| QuantileSketch::new(self.cfg.sketch_alpha));
+        let mut lat: [QuantileSketch; 5] = std::array::from_fn(|_| QuantileSketch::default());
         for (c, p) in cur.iter().zip(hs.prev_shards.iter()) {
             for t in 0..5 {
                 executed[t] += c.executed[t] - p.executed[t];

@@ -434,7 +434,7 @@ impl TpccDb {
     /// With MVCC on, this is a real abort: the transaction executes
     /// normally, discovers the unused item at that line's read, and
     /// unwinds its district bump, order/index inserts, and stock
-    /// updates through the undo log ([`TpccDb::abort_write`]) — the
+    /// updates through the undo log (`TpccDb::abort_write`) — the
     /// compensating writes are ordinary WAL-logged page deltas, so the
     /// disk carries the abort's physical trace but no committed
     /// effect. With MVCC off there is no undo log to unwind through

@@ -284,8 +284,10 @@ mod tests {
         torn.truncate(committed + (full.len() - committed) / 2);
 
         let checkpoint = db.checkpoint.take().expect("checkpoint");
-        let recovered_torn = torn.recover(checkpoint.snapshot());
-        let recovered_full = full.recover(checkpoint);
+        let recovered_torn = torn
+            .try_recover(checkpoint.snapshot())
+            .expect("torn log applies");
+        let recovered_full = full.try_recover(checkpoint).expect("full log applies");
 
         assert!(
             ref_db

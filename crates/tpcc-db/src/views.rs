@@ -47,8 +47,9 @@ use std::sync::Arc;
 
 use tpcc_obs::Label;
 use tpcc_schema::relation::Relation;
-use tpcc_storage::cdc::{live_slots, CdcLag, CdcStats, CdcSubscriber, ChangeBatch, RowOp};
 use tpcc_storage::cdc::{CdcCheckpoint, RowChange};
+use tpcc_storage::cdc::{CdcLag, CdcStats, CdcSubscriber, ChangeBatch, RowOp};
+use tpcc_storage::page::live_slots;
 use tpcc_storage::{DiskManager, FaultHook, FileId};
 
 use crate::db::TpccDb;

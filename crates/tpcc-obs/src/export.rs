@@ -1,6 +1,6 @@
-//! Exporters: a JSON object builder and a JSON-lines sink, the
-//! snapshot writer built on them, a human-readable table printer, and
-//! a flame-style span summary.
+//! Exporters: a JSON object builder and a JSON-lines sink, a
+//! snapshot's JSON line, a human-readable table printer, and a
+//! flame-style span summary.
 //!
 //! JSON is emitted by hand (the workspace carries no external
 //! dependencies); the schema is documented in DESIGN.md. One snapshot
@@ -11,7 +11,7 @@ use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::time::Instant;
 
-use crate::memory::{MemoryRecorder, Snapshot};
+use crate::memory::Snapshot;
 
 /// Escapes a string for embedding in a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -42,7 +42,8 @@ fn json_f64(v: f64, decimals: Option<usize>) -> String {
 }
 
 /// One JSON object under construction. Members appear in call order;
-/// every float goes through [`json_f64`], in every exporter.
+/// every float is rendered the same way, in every exporter: NaN and
+/// infinities become `null`.
 #[derive(Debug, Clone, Default)]
 pub struct JsonObject(String);
 
@@ -183,14 +184,6 @@ impl Snapshot {
     /// for one-shot end-of-run snapshots with no run clock).
     #[must_use]
     pub fn to_json_line(&self, seq: u64, transactions: u64, t_ms: f64) -> String {
-        let mut line = JsonObject::default();
-        line.uint("seq", seq).fixed("t_ms", t_ms, 3);
-        self.fill(&mut line, transactions);
-        line.to_string()
-    }
-
-    /// Appends `transactions` and the four metric sections to `line`.
-    fn fill(&self, line: &mut JsonObject, transactions: u64) {
         let mut counters = JsonObject::default();
         for (k, v) in &self.counters {
             counters.uint(k, *v);
@@ -214,11 +207,15 @@ impl Snapshot {
             o.uint("count", s.count).uint("total_ns", s.total_ns);
             spans.object(path, o.uint("max_ns", s.max_ns));
         }
-        line.uint("transactions", transactions)
+        let mut line = JsonObject::default();
+        line.uint("seq", seq)
+            .fixed("t_ms", t_ms, 3)
+            .uint("transactions", transactions)
             .object("counters", &counters)
             .object("gauges", &gauges)
             .object("histograms", &histograms)
             .object("spans", &spans);
+        line.to_string()
     }
 
     /// Renders the snapshot as aligned, sectioned plain text.
@@ -320,84 +317,11 @@ impl Snapshot {
     }
 }
 
-/// Writes one JSON-lines snapshot every `every` transactions (plus a
-/// final one on [`SnapshotWriter::finish`]).
-///
-/// The driver calls [`tick`](SnapshotWriter::tick) after each
-/// transaction; the writer decides when a snapshot is due, takes it
-/// from the recorder, and appends it to a [`JsonLines`] sink, whose
-/// `seq` / `t_ms` stamp and flush-on-drop it inherits.
-#[derive(Debug)]
-pub struct SnapshotWriter<W: Write> {
-    lines: JsonLines<W>,
-    every: u64,
-    last_emitted_at: u64,
-}
-
-impl<W: Write> SnapshotWriter<W> {
-    /// A writer emitting one snapshot per `every` transactions
-    /// (`every` of 0 is treated as 1). The `t_ms` run clock starts
-    /// now.
-    pub fn new(out: W, every: u64) -> Self {
-        Self {
-            lines: JsonLines::new(out),
-            every: every.max(1),
-            last_emitted_at: 0,
-        }
-    }
-
-    /// Transactions between snapshots.
-    #[must_use]
-    pub fn period(&self) -> u64 {
-        self.every
-    }
-
-    /// Notes that `transactions_done` transactions have now completed;
-    /// emits a snapshot if a period boundary was crossed.
-    ///
-    /// # Errors
-    /// Propagates write errors from the underlying sink.
-    pub fn tick(&mut self, recorder: &MemoryRecorder, transactions_done: u64) -> io::Result<()> {
-        if transactions_done - self.last_emitted_at >= self.every {
-            self.emit(recorder, transactions_done)?;
-        }
-        Ok(())
-    }
-
-    /// Unconditionally emits a final snapshot and flushes.
-    ///
-    /// # Errors
-    /// Propagates write errors from the underlying sink.
-    pub fn finish(&mut self, recorder: &MemoryRecorder, transactions_done: u64) -> io::Result<()> {
-        if transactions_done != self.last_emitted_at || self.snapshots_written() == 0 {
-            self.emit(recorder, transactions_done)?;
-        }
-        self.lines.flush()
-    }
-
-    fn emit(&mut self, recorder: &MemoryRecorder, transactions_done: u64) -> io::Result<()> {
-        let mut line = self.lines.stamped();
-        recorder.snapshot().fill(&mut line, transactions_done);
-        self.last_emitted_at = transactions_done;
-        self.lines.write(&line)
-    }
-
-    /// Snapshots emitted so far.
-    #[must_use]
-    pub fn snapshots_written(&self) -> u64 {
-        self.lines.lines_written()
-    }
-
-    /// Consumes the writer, returning the underlying sink (flushed).
-    pub fn into_inner(self) -> W {
-        self.lines.into_inner()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Label, Obs, Recorder};
+    use crate::memory::MemoryRecorder;
+    use crate::recorder::{Label, Obs};
     use std::sync::Arc;
 
     fn sample_recorder() -> Arc<MemoryRecorder> {
@@ -455,23 +379,6 @@ mod tests {
         assert!(flame.contains("  lookup") || flame.contains("    lookup"));
     }
 
-    #[test]
-    fn snapshot_writer_emits_every_n() {
-        let rec = sample_recorder();
-        let mut w = SnapshotWriter::new(Vec::new(), 100);
-        for done in 1..=250u64 {
-            w.tick(&rec, done).unwrap();
-        }
-        w.finish(&rec, 250).unwrap();
-        let out = String::from_utf8(w.into_inner()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3, "at 100, 200, and final 250");
-        assert!(lines[0].starts_with("{\"seq\":0,\"t_ms\":"));
-        assert!(lines[0].contains("\"transactions\":100"));
-        assert!(lines[2].contains("\"seq\":2"));
-        assert!(lines[2].contains("\"transactions\":250"));
-    }
-
     /// A sink that only counts as "persisted" what was flushed.
     struct FlushGate {
         buffered: Vec<u8>,
@@ -489,7 +396,7 @@ mod tests {
         }
     }
 
-    /// Both writers sit on this sink, so this is their guarantee too.
+    /// `TimeSeriesWriter` sits on this sink, so this is its guarantee too.
     #[test]
     fn sink_flushes_written_lines_on_panic_unwind() {
         let persisted = Arc::new(std::sync::Mutex::new(Vec::new()));

@@ -10,42 +10,28 @@
 //! records straight into the shared atomic (or per-histogram mutex)
 //! with no name hashing and no map lock.
 //!
-//! Handles degrade gracefully: resolved against a disabled [`Obs`] they
-//! are inert one-branch no-ops, and against a recorder that does not
-//! expose slots (e.g. a custom sink) they fall back to the dynamic
-//! call. Instrumented code therefore never needs to know which case it
-//! holds.
+//! Each handle is an `Option` of its slot: resolved against a disabled
+//! [`Obs`] it is `None`, and every call is an inert one-branch no-op.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::recorder::{Label, Obs, Recorder};
+use crate::recorder::{Label, Obs};
 use crate::sketch::QuantileSketch;
 use crate::trace::TraceCollector;
 
 /// A pre-resolved counter. `add` is one branch plus one relaxed
-/// `fetch_add` in the slot-backed case.
+/// `fetch_add`.
 #[derive(Clone, Default)]
 pub struct CounterHandle {
-    inner: Option<CounterInner>,
-}
-
-#[derive(Clone)]
-enum CounterInner {
-    Slot(Arc<AtomicU64>),
-    Dynamic(Arc<dyn Recorder>, &'static str, Label),
+    slot: Option<Arc<AtomicU64>>,
 }
 
 impl std::fmt::Debug for CounterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.inner {
-            None => "disabled",
-            Some(CounterInner::Slot(_)) => "slot",
-            Some(CounterInner::Dynamic(..)) => "dynamic",
-        };
         f.debug_struct("CounterHandle")
-            .field("kind", &kind)
+            .field("enabled", &self.slot.is_some())
             .finish()
     }
 }
@@ -54,18 +40,14 @@ impl CounterHandle {
     /// A handle that records nothing.
     #[must_use]
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self { slot: None }
     }
 
     /// Adds `delta` to the counter.
     #[inline]
     pub fn add(&self, delta: u64) {
-        match &self.inner {
-            None => {}
-            Some(CounterInner::Slot(slot)) => {
-                slot.fetch_add(delta, Ordering::Relaxed);
-            }
-            Some(CounterInner::Dynamic(r, name, label)) => r.counter_add(name, *label, delta),
+        if let Some(slot) = &self.slot {
+            slot.fetch_add(delta, Ordering::Relaxed);
         }
     }
 }
@@ -73,19 +55,13 @@ impl CounterHandle {
 /// A pre-resolved gauge (f64 stored as bits in a shared atomic).
 #[derive(Clone, Default)]
 pub struct GaugeHandle {
-    inner: Option<GaugeInner>,
-}
-
-#[derive(Clone)]
-enum GaugeInner {
-    Slot(Arc<AtomicU64>),
-    Dynamic(Arc<dyn Recorder>, &'static str, Label),
+    slot: Option<Arc<AtomicU64>>,
 }
 
 impl std::fmt::Debug for GaugeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GaugeHandle")
-            .field("enabled", &self.inner.is_some())
+            .field("enabled", &self.slot.is_some())
             .finish()
     }
 }
@@ -94,16 +70,14 @@ impl GaugeHandle {
     /// A handle that records nothing.
     #[must_use]
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self { slot: None }
     }
 
     /// Sets the gauge to `value`.
     #[inline]
     pub fn set(&self, value: f64) {
-        match &self.inner {
-            None => {}
-            Some(GaugeInner::Slot(slot)) => slot.store(value.to_bits(), Ordering::Relaxed),
-            Some(GaugeInner::Dynamic(r, name, label)) => r.gauge_set(name, *label, value),
+        if let Some(slot) = &self.slot {
+            slot.store(value.to_bits(), Ordering::Relaxed);
         }
     }
 }
@@ -111,19 +85,13 @@ impl GaugeHandle {
 /// A pre-resolved histogram.
 #[derive(Clone, Default)]
 pub struct HistogramHandle {
-    inner: Option<HistInner>,
-}
-
-#[derive(Clone)]
-enum HistInner {
-    Slot(Arc<Mutex<QuantileSketch>>),
-    Dynamic(Arc<dyn Recorder>, &'static str, Label),
+    slot: Option<Arc<Mutex<QuantileSketch>>>,
 }
 
 impl std::fmt::Debug for HistogramHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistogramHandle")
-            .field("enabled", &self.inner.is_some())
+            .field("enabled", &self.slot.is_some())
             .finish()
     }
 }
@@ -132,36 +100,22 @@ impl HistogramHandle {
     /// A handle that records nothing.
     #[must_use]
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self { slot: None }
     }
 
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        match &self.inner {
-            None => {}
-            Some(HistInner::Slot(slot)) => slot.lock().expect("obs hist lock").record(value),
-            Some(HistInner::Dynamic(r, name, label)) => r.observe(name, *label, value),
+        if let Some(slot) = &self.slot {
+            slot.lock().expect("obs hist lock").record(value);
         }
     }
 
     /// Merges a locally-accumulated sketch into this histogram in one
     /// lock acquisition — the per-thread-sketch hand-off.
     pub fn merge(&self, sketch: &QuantileSketch) {
-        match &self.inner {
-            None => {}
-            Some(HistInner::Slot(slot)) => slot.lock().expect("obs hist lock").merge(sketch),
-            Some(HistInner::Dynamic(r, name, label)) => r.histogram_merge(name, *label, sketch),
-        }
-    }
-
-    /// Starts a timer that records elapsed nanoseconds into this
-    /// histogram when dropped. A disabled handle never reads the clock.
-    #[inline]
-    #[must_use]
-    pub fn start(&self) -> HandleTimer {
-        HandleTimer {
-            active: self.inner.as_ref().map(|_| (self.clone(), Instant::now())),
+        if let Some(slot) = &self.slot {
+            slot.lock().expect("obs hist lock").merge(sketch);
         }
     }
 }
@@ -222,37 +176,13 @@ impl TraceHandle {
     }
 }
 
-/// RAII timer for [`HistogramHandle::start`]; records on drop.
-pub struct HandleTimer {
-    active: Option<(HistogramHandle, Instant)>,
-}
-
-impl HandleTimer {
-    /// Stops the timer without recording.
-    pub fn cancel(mut self) {
-        self.active = None;
-    }
-}
-
-impl Drop for HandleTimer {
-    fn drop(&mut self) {
-        if let Some((hist, start)) = self.active.take() {
-            let nanos = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            hist.record(nanos);
-        }
-    }
-}
-
 impl Obs {
     /// Resolves a counter handle for `(name, label)`. Resolve once at
     /// attach time, then call [`CounterHandle::add`] on the hot path.
     #[must_use]
     pub fn counter_handle(&self, name: &'static str, label: Label) -> CounterHandle {
         CounterHandle {
-            inner: self.recorder().map(|r| match r.counter_slot(name, label) {
-                Some(slot) => CounterInner::Slot(slot),
-                None => CounterInner::Dynamic(Arc::clone(r), name, label),
-            }),
+            slot: self.recorder().map(|r| r.counter_slot(name, label)),
         }
     }
 
@@ -260,10 +190,7 @@ impl Obs {
     #[must_use]
     pub fn gauge_handle(&self, name: &'static str, label: Label) -> GaugeHandle {
         GaugeHandle {
-            inner: self.recorder().map(|r| match r.gauge_slot(name, label) {
-                Some(slot) => GaugeInner::Slot(slot),
-                None => GaugeInner::Dynamic(Arc::clone(r), name, label),
-            }),
+            slot: self.recorder().map(|r| r.gauge_slot(name, label)),
         }
     }
 
@@ -271,12 +198,7 @@ impl Obs {
     #[must_use]
     pub fn histogram_handle(&self, name: &'static str, label: Label) -> HistogramHandle {
         HistogramHandle {
-            inner: self
-                .recorder()
-                .map(|r| match r.histogram_slot(name, label) {
-                    Some(slot) => HistInner::Slot(slot),
-                    None => HistInner::Dynamic(Arc::clone(r), name, label),
-                }),
+            slot: self.recorder().map(|r| r.histogram_slot(name, label)),
         }
     }
 
@@ -298,7 +220,6 @@ impl Obs {
 mod tests {
     use super::*;
     use crate::memory::MemoryRecorder;
-    use crate::recorder::NoopRecorder;
 
     #[test]
     fn slot_handles_share_state_with_dynamic_calls() {
@@ -331,32 +252,10 @@ mod tests {
         c.add(1);
         g.set(1.0);
         h.record(1);
-        let t = h.start();
-        drop(t);
         // nothing to assert beyond "did not panic / did not allocate a
         // recorder"; the Default impls must match disabled()
         CounterHandle::default().add(1);
         GaugeHandle::default().set(0.0);
         HistogramHandle::default().record(0);
-    }
-
-    #[test]
-    fn slotless_recorder_falls_back_to_dynamic_dispatch() {
-        let obs = Obs::new(Arc::new(NoopRecorder));
-        let c = obs.counter_handle("c", Label::None);
-        assert!(matches!(c.inner, Some(CounterInner::Dynamic(..))));
-        c.add(5); // discards through the trait object
-    }
-
-    #[test]
-    fn handle_timer_records_and_cancels() {
-        let rec = Arc::new(MemoryRecorder::new());
-        let obs = Obs::new(rec.clone());
-        let h = obs.histogram_handle("lat", Label::None);
-        {
-            let _t = h.start();
-        }
-        h.start().cancel();
-        assert_eq!(rec.histogram("lat", Label::None).unwrap().count(), 1);
     }
 }

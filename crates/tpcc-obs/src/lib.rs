@@ -5,23 +5,21 @@
 //! The design has three layers:
 //!
 //! - **Handle** — instrumented code holds an [`Obs`], a cloneable
-//!   `Option<Arc<dyn Recorder>>`. There is no global state: the handle
-//!   is threaded through constructors/configs, and `Obs::disabled()`
-//!   turns every call site into an inlined branch-on-`None` (measured
-//!   overhead is reported in EXPERIMENTS.md). Hot paths pre-resolve
+//!   `Option<Arc<MemoryRecorder>>`. There is no global state: the
+//!   handle is threaded through constructors/configs, and
+//!   `Obs::disabled()` turns every call site into an inlined
+//!   branch-on-`None` (measured overhead is reported in
+//!   EXPERIMENTS.md). Hot paths pre-resolve
 //!   [`CounterHandle`]/[`GaugeHandle`]/[`HistogramHandle`]/
 //!   [`TraceHandle`] once at attach time.
-//! - **Sink** — the [`Recorder`] trait with two implementations:
-//!   [`NoopRecorder`] and [`MemoryRecorder`], which aggregates
-//!   counters (shared atomics), gauges, [`QuantileSketch`]es (bounded
-//!   relative rank error, lossless merge — per-thread sketches hand
-//!   off via [`Obs::merge_sketch`]), completed spans (bounded ring +
-//!   per-path totals), and an optional [`TraceCollector`] of
-//!   per-thread event rings.
+//! - **One recorder** — [`MemoryRecorder`] aggregates counters
+//!   (shared atomics), gauges, [`QuantileSketch`]es (bounded relative
+//!   rank error, lossless merge — per-thread sketches hand off via
+//!   [`HistogramHandle::merge`]), per-path span totals, and an optional
+//!   [`TraceCollector`] of per-thread event rings.
 //! - **Export** — [`Snapshot`] serializes as one JSON line
 //!   ([`Snapshot::to_json_line`]) or renders as aligned text
 //!   ([`Snapshot::render_table`], [`Snapshot::render_flame`]);
-//!   [`SnapshotWriter`] emits one JSON line every N transactions;
 //!   [`TimeSeriesWriter`] emits one windowed telemetry point per
 //!   flush; [`TraceCollector::export_chrome`] renders
 //!   chrome://tracing JSON.
@@ -52,10 +50,10 @@ mod sketch;
 mod timeseries;
 mod trace;
 
-pub use export::{JsonLines, JsonObject, SnapshotWriter};
-pub use handle::{CounterHandle, GaugeHandle, HandleTimer, HistogramHandle, TraceHandle};
-pub use memory::{MemoryRecorder, Snapshot, SpanEvent, SpanStat, DEFAULT_SPAN_RING};
-pub use recorder::{Label, LatencyTimer, NoopRecorder, Obs, Recorder, SpanGuard};
+pub use export::{JsonLines, JsonObject};
+pub use handle::{CounterHandle, GaugeHandle, HistogramHandle, TraceHandle};
+pub use memory::{MemoryRecorder, Snapshot, SpanStat};
+pub use recorder::{Label, Obs, SpanGuard};
 pub use sketch::{HistSummary, QuantileSketch, DEFAULT_SKETCH_ALPHA};
 pub use timeseries::{SeriesStat, TimeSeriesPoint, TimeSeriesWriter};
 pub use trace::{TraceCollector, TraceEvent, DEFAULT_TRACE_RING};

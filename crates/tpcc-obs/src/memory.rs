@@ -1,34 +1,24 @@
-//! The in-memory aggregating recorder and its snapshot type.
+//! The in-memory aggregating recorder and its snapshot type — the one
+//! recorder every [`Obs`](crate::Obs) handle records into.
 //!
 //! [`MemoryRecorder`] keeps counters as shared atomics behind a
 //! read-mostly map (the write lock is only taken the first time a new
 //! `(metric, label)` pair appears), histogram **quantile sketches**
-//! behind per-slot mutexes, and completed spans in a bounded ring
-//! buffer plus a running per-path aggregate. Taking a [`Snapshot`]
-//! never disturbs recording threads beyond those same short locks.
-//! Hot multi-threaded paths avoid even the per-slot mutex by keeping
-//! thread-local sketches and handing them over through
-//! [`Recorder::histogram_merge`] at merge points.
+//! behind per-slot mutexes, and a running per-path aggregate of
+//! completed spans. Taking a [`Snapshot`] never disturbs recording
+//! threads beyond those same short locks. Hot multi-threaded paths
+//! avoid even the per-slot mutex by keeping thread-local sketches and
+//! handing them over through
+//! [`HistogramHandle::merge`](crate::HistogramHandle::merge) at merge
+//! points.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::recorder::{Label, Recorder};
+use crate::recorder::Label;
 use crate::sketch::{HistSummary, QuantileSketch};
 use crate::trace::TraceCollector;
-
-/// Default capacity of the completed-span ring buffer.
-pub const DEFAULT_SPAN_RING: usize = 4096;
-
-/// One completed span occurrence, as kept in the ring buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Full nesting path, e.g. `new_order/btree_lookup`.
-    pub path: String,
-    /// Wall-clock duration in nanoseconds.
-    pub nanos: u64,
-}
 
 /// Running aggregate for one span path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,31 +31,19 @@ pub struct SpanStat {
     pub max_ns: u64,
 }
 
-#[derive(Debug)]
-struct SpanStore {
-    ring: VecDeque<SpanEvent>,
-    capacity: usize,
-    agg: HashMap<String, SpanStat>,
-}
-
 /// A read-mostly map from `(metric, label)` to a shared slot.
 type SlotMap<V> = RwLock<HashMap<(&'static str, Label), V>>;
 
 /// An aggregating, thread-safe recorder that holds everything in
 /// memory until a [`Snapshot`] is taken.
+#[derive(Default)]
 pub struct MemoryRecorder {
     counters: SlotMap<Arc<AtomicU64>>,
     gauges: SlotMap<Arc<AtomicU64>>, // f64 bits
     hists: SlotMap<Arc<Mutex<QuantileSketch>>>,
-    spans: Mutex<SpanStore>,
+    spans: Mutex<HashMap<String, SpanStat>>,
     index_names: RwLock<HashMap<u32, String>>,
     trace: RwLock<Option<Arc<TraceCollector>>>,
-}
-
-impl Default for MemoryRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl std::fmt::Debug for MemoryRecorder {
@@ -94,29 +72,10 @@ fn with_slot<V, R>(
 }
 
 impl MemoryRecorder {
-    /// A recorder with the default span-ring capacity.
+    /// An empty recorder.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_span_capacity(DEFAULT_SPAN_RING)
-    }
-
-    /// A recorder whose span ring holds the most recent
-    /// `span_capacity` completed spans (the per-path aggregate is
-    /// unbounded and unaffected).
-    #[must_use]
-    pub fn with_span_capacity(span_capacity: usize) -> Self {
-        Self {
-            counters: RwLock::new(HashMap::new()),
-            gauges: RwLock::new(HashMap::new()),
-            hists: RwLock::new(HashMap::new()),
-            spans: Mutex::new(SpanStore {
-                ring: VecDeque::with_capacity(span_capacity.min(1024)),
-                capacity: span_capacity.max(1),
-                agg: HashMap::new(),
-            }),
-            index_names: RwLock::new(HashMap::new()),
-            trace: RwLock::new(None),
-        }
+        Self::default()
     }
 
     /// Current value of a counter (0 if never touched).
@@ -177,25 +136,7 @@ impl MemoryRecorder {
     /// Aggregate for one span path, if it ever completed.
     #[must_use]
     pub fn span_stat(&self, path: &str) -> Option<SpanStat> {
-        self.spans
-            .lock()
-            .expect("obs span lock")
-            .agg
-            .get(path)
-            .copied()
-    }
-
-    /// The most recent completed spans, oldest first (bounded by the
-    /// ring capacity).
-    #[must_use]
-    pub fn recent_spans(&self) -> Vec<SpanEvent> {
-        self.spans
-            .lock()
-            .expect("obs span lock")
-            .ring
-            .iter()
-            .cloned()
-            .collect()
+        self.spans.lock().expect("obs span lock").get(path).copied()
     }
 
     /// Renders a display key for a metric: `name` alone, or
@@ -258,7 +199,6 @@ impl MemoryRecorder {
             .spans
             .lock()
             .expect("obs span lock")
-            .agg
             .iter()
             .map(|(p, s)| (p.clone(), *s))
             .collect();
@@ -272,8 +212,10 @@ impl MemoryRecorder {
     }
 }
 
-impl Recorder for MemoryRecorder {
-    fn counter_add(&self, name: &'static str, label: Label, delta: u64) {
+/// The recording side, reached through [`Obs`](crate::Obs) and the
+/// pre-resolved handles.
+impl MemoryRecorder {
+    pub(crate) fn counter_add(&self, name: &'static str, label: Label, delta: u64) {
         with_slot(
             &self.counters,
             (name, label),
@@ -282,7 +224,7 @@ impl Recorder for MemoryRecorder {
         );
     }
 
-    fn gauge_set(&self, name: &'static str, label: Label, value: f64) {
+    pub(crate) fn gauge_set(&self, name: &'static str, label: Label, value: f64) {
         with_slot(
             &self.gauges,
             (name, label),
@@ -291,7 +233,7 @@ impl Recorder for MemoryRecorder {
         );
     }
 
-    fn observe(&self, name: &'static str, label: Label, value: u64) {
+    pub(crate) fn observe(&self, name: &'static str, label: Label, value: u64) {
         with_slot(
             &self.hists,
             (name, label),
@@ -300,38 +242,20 @@ impl Recorder for MemoryRecorder {
         );
     }
 
-    fn histogram_merge(&self, name: &'static str, label: Label, sketch: &QuantileSketch) {
-        with_slot(
-            &self.hists,
-            (name, label),
-            || Arc::new(Mutex::new(QuantileSketch::default())),
-            |h| h.lock().expect("obs hist lock").merge(sketch),
-        );
-    }
-
-    fn trace_sink(&self) -> Option<Arc<TraceCollector>> {
-        self.trace.read().expect("obs trace lock").clone()
-    }
-
-    fn span_record(&self, path: &str, nanos: u64) {
-        let mut store = self.spans.lock().expect("obs span lock");
-        if store.ring.len() == store.capacity {
-            store.ring.pop_front();
-        }
-        store.ring.push_back(SpanEvent {
-            path: path.to_string(),
-            nanos,
-        });
+    /// Adds one occurrence to the aggregate of `path`, the
+    /// `/`-separated chain of enclosing span names.
+    pub(crate) fn span_record(&self, path: &str, nanos: u64) {
+        let mut spans = self.spans.lock().expect("obs span lock");
         // get_mut first: the steady state touches an existing path and
         // must not pay `entry`'s unconditional key allocation
-        match store.agg.get_mut(path) {
+        match spans.get_mut(path) {
             Some(stat) => {
                 stat.count += 1;
                 stat.total_ns += nanos;
                 stat.max_ns = stat.max_ns.max(nanos);
             }
             None => {
-                store.agg.insert(
+                spans.insert(
                     path.to_string(),
                     SpanStat {
                         count: 1,
@@ -343,42 +267,47 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn register_index(&self, idx: u32, name: &str) {
+    pub(crate) fn register_index(&self, idx: u32, name: &str) {
         self.index_names
             .write()
             .expect("obs map lock")
             .insert(idx, name.to_string());
     }
 
-    fn counter_slot(&self, name: &'static str, label: Label) -> Option<Arc<AtomicU64>> {
-        Some(with_slot(
+    pub(crate) fn counter_slot(&self, name: &'static str, label: Label) -> Arc<AtomicU64> {
+        with_slot(
             &self.counters,
             (name, label),
             || Arc::new(AtomicU64::new(0)),
             Arc::clone,
-        ))
+        )
     }
 
-    fn gauge_slot(&self, name: &'static str, label: Label) -> Option<Arc<AtomicU64>> {
-        Some(with_slot(
+    pub(crate) fn gauge_slot(&self, name: &'static str, label: Label) -> Arc<AtomicU64> {
+        with_slot(
             &self.gauges,
             (name, label),
             || Arc::new(AtomicU64::new(0)),
             Arc::clone,
-        ))
+        )
     }
 
-    fn histogram_slot(
+    pub(crate) fn histogram_slot(
         &self,
         name: &'static str,
         label: Label,
-    ) -> Option<Arc<Mutex<QuantileSketch>>> {
-        Some(with_slot(
+    ) -> Arc<Mutex<QuantileSketch>> {
+        with_slot(
             &self.hists,
             (name, label),
             || Arc::new(Mutex::new(QuantileSketch::default())),
             Arc::clone,
-        ))
+        )
+    }
+
+    /// The installed trace collector, if any.
+    pub(crate) fn trace_sink(&self) -> Option<Arc<TraceCollector>> {
+        self.trace.read().expect("obs trace lock").clone()
     }
 }
 
@@ -440,22 +369,6 @@ mod tests {
         // the parent's inclusive time covers its children's
         assert!(outer.total_ns >= inner.total_ns);
         assert!(rec.span_stat("btree_lookup").is_none(), "path is nested");
-        // ring buffer saw all 9 completions, children before parents
-        let ring = rec.recent_spans();
-        assert_eq!(ring.len(), 9);
-        assert_eq!(ring[0].path, "new_order/btree_lookup");
-        assert_eq!(ring[2].path, "new_order");
-    }
-
-    #[test]
-    fn span_ring_is_bounded_but_aggregate_is_not() {
-        let rec = Arc::new(MemoryRecorder::with_span_capacity(4));
-        let obs = Obs::new(rec.clone());
-        for _ in 0..10 {
-            let _g = obs.span("tick");
-        }
-        assert_eq!(rec.recent_spans().len(), 4);
-        assert_eq!(rec.span_stat("tick").unwrap().count, 10);
     }
 
     #[test]
@@ -478,7 +391,6 @@ mod tests {
             assert!(rec.span_stat("real").is_some());
             assert!(rec.span_stat("ghost/real").is_none());
         }
-        let _t = obs.timer("lat", Label::None);
     }
 
     #[test]
@@ -491,17 +403,5 @@ mod tests {
         let snap = rec.snapshot();
         let keys: Vec<&str> = snap.counters.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["buf_hits/file9", "buf_hits/stock"]);
-    }
-
-    #[test]
-    fn timer_cancel_discards_sample() {
-        let rec = Arc::new(MemoryRecorder::new());
-        let obs = Obs::new(rec.clone());
-        obs.timer("lat", Label::None).cancel();
-        assert!(rec.histogram("lat", Label::None).is_none());
-        {
-            let _t = obs.timer("lat", Label::None);
-        }
-        assert_eq!(rec.histogram("lat", Label::None).unwrap().count(), 1);
     }
 }

@@ -1,24 +1,24 @@
-//! The recording interface: a [`Recorder`] trait, the no-op
-//! implementation, and the cheap cloneable [`Obs`] handle that
-//! instrumented code holds.
+//! The cheap cloneable [`Obs`] handle that instrumented code holds,
+//! and the [`Label`] every metric carries.
 //!
-//! Instrumented crates never talk to a concrete sink; they call through
-//! [`Obs`], which is `Option<Arc<dyn Recorder>>` under the hood. A
-//! disabled handle (`Obs::disabled()`) is a `None` and every method is
-//! an inlined early return — the zero-cost-when-disabled path the rest
-//! of the workspace relies on.
+//! [`Obs`] is `Option<Arc<MemoryRecorder>>` under the hood. A disabled
+//! handle (`Obs::disabled()`) is a `None` and every method is an
+//! inlined early return — the zero-cost-when-disabled path the rest of
+//! the workspace relies on.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::memory::MemoryRecorder;
+
 /// A metric label: most metrics are unlabelled (`None`), per-relation
-/// metrics carry the relation's [`FileId`]-style index (`Idx`), and a
-/// few carry a static name (`Name`).
+/// metrics carry the relation's storage file index (`Idx`), and a few
+/// carry a static name (`Name`).
 ///
 /// `Idx` labels render through the recorder's index-name registry (see
-/// [`Recorder::register_index`]) so exports show `stock` instead of
+/// [`Obs::register_index`]) so exports show `stock` instead of
 /// `file7`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Label {
@@ -30,87 +30,6 @@ pub enum Label {
     Name(&'static str),
 }
 
-/// A sink for metrics and span timings.
-///
-/// Implementations must be cheap and thread-safe: counters are hit from
-/// the buffer-manager fault path. The workspace ships two: the unit
-/// struct [`NoopRecorder`] and the aggregating
-/// [`MemoryRecorder`](crate::MemoryRecorder).
-pub trait Recorder: Send + Sync {
-    /// Adds `delta` to a monotonic counter.
-    fn counter_add(&self, name: &'static str, label: Label, delta: u64);
-    /// Sets a gauge to an instantaneous value.
-    fn gauge_set(&self, name: &'static str, label: Label, value: f64);
-    /// Records a sample into a log-scale histogram.
-    fn observe(&self, name: &'static str, label: Label, value: u64);
-    /// Records one completed span occurrence. `path` is the
-    /// `/`-separated chain of enclosing span names.
-    fn span_record(&self, path: &str, nanos: u64);
-    /// Associates a human-readable name with a numeric label index.
-    fn register_index(&self, idx: u32, name: &str);
-
-    /// The shared atomic behind a counter, if this recorder exposes
-    /// slots (see [`Obs::counter_handle`](crate::CounterHandle)). The
-    /// default (`None`) makes handles fall back to dynamic dispatch.
-    fn counter_slot(
-        &self,
-        name: &'static str,
-        label: Label,
-    ) -> Option<std::sync::Arc<std::sync::atomic::AtomicU64>> {
-        let _ = (name, label);
-        None
-    }
-
-    /// The shared atomic (f64 bits) behind a gauge, if exposed.
-    fn gauge_slot(
-        &self,
-        name: &'static str,
-        label: Label,
-    ) -> Option<std::sync::Arc<std::sync::atomic::AtomicU64>> {
-        let _ = (name, label);
-        None
-    }
-
-    /// The shared quantile sketch behind `(name, label)`, if exposed.
-    fn histogram_slot(
-        &self,
-        name: &'static str,
-        label: Label,
-    ) -> Option<std::sync::Arc<std::sync::Mutex<crate::QuantileSketch>>> {
-        let _ = (name, label);
-        None
-    }
-
-    /// Merges a locally-accumulated sketch into the histogram behind
-    /// `(name, label)`. This is how per-thread sketches reach the
-    /// shared recorder **losslessly at merge points** (window flushes,
-    /// end of run) instead of funneling every sample through the
-    /// shared slot. The default discards.
-    fn histogram_merge(&self, name: &'static str, label: Label, sketch: &crate::QuantileSketch) {
-        let _ = (name, label, sketch);
-    }
-
-    /// The installed trace collector, if this recorder carries one
-    /// (see `MemoryRecorder::install_trace`). Components resolve this
-    /// once at attach time into a `TraceHandle`.
-    fn trace_sink(&self) -> Option<std::sync::Arc<crate::TraceCollector>> {
-        None
-    }
-}
-
-/// A recorder that discards everything. Used to measure (and to keep
-/// negligible) the overhead of instrumentation call sites themselves.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn counter_add(&self, _: &'static str, _: Label, _: u64) {}
-    fn gauge_set(&self, _: &'static str, _: Label, _: f64) {}
-    fn observe(&self, _: &'static str, _: Label, _: u64) {}
-    fn span_record(&self, _: &str, _: u64) {}
-    fn register_index(&self, _: u32, _: &str) {}
-}
-
 thread_local! {
     /// The active span-name stack for this thread; spans nest
     /// lexically, so a thread-local suffices and no locking is needed
@@ -119,10 +38,10 @@ thread_local! {
 }
 
 /// The handle instrumented code holds. Cloning is a pointer copy; a
-/// disabled handle makes every call a no-op without virtual dispatch.
+/// disabled handle makes every call a one-branch no-op.
 #[derive(Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<dyn Recorder>>,
+    inner: Option<Arc<MemoryRecorder>>,
 }
 
 impl fmt::Debug for Obs {
@@ -142,7 +61,7 @@ impl Obs {
 
     /// A handle recording into `recorder`.
     #[must_use]
-    pub fn new(recorder: Arc<dyn Recorder>) -> Self {
+    pub fn new(recorder: Arc<MemoryRecorder>) -> Self {
         Self {
             inner: Some(recorder),
         }
@@ -155,7 +74,7 @@ impl Obs {
     }
 
     /// The attached recorder, if any (used by handle resolution).
-    pub(crate) fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
+    pub(crate) fn recorder(&self) -> Option<&Arc<MemoryRecorder>> {
         self.inner.as_ref()
     }
 
@@ -190,15 +109,6 @@ impl Obs {
         }
     }
 
-    /// Merges a locally-accumulated sketch into the shared histogram
-    /// behind `(name, label)` — the lossless hand-off point for
-    /// per-thread sketches.
-    pub fn merge_sketch(&self, name: &'static str, label: Label, sketch: &crate::QuantileSketch) {
-        if let Some(r) = &self.inner {
-            r.histogram_merge(name, label, sketch);
-        }
-    }
-
     /// Opens a tracing span. The returned guard records the span's
     /// wall-clock duration (keyed by the full nesting path, e.g.
     /// `new_order/btree_lookup`) when dropped. Disabled handles return
@@ -223,23 +133,10 @@ impl Obs {
             }
         }
     }
-
-    /// Starts a latency timer that records into the named histogram
-    /// when dropped. Lighter than a span: no nesting path, no
-    /// thread-local traffic.
-    #[inline]
-    pub fn timer(&self, name: &'static str, label: Label) -> LatencyTimer {
-        LatencyTimer {
-            active: self
-                .inner
-                .as_ref()
-                .map(|r| (Arc::clone(r), name, label, Instant::now())),
-        }
-    }
 }
 
 struct ActiveSpan {
-    recorder: Arc<dyn Recorder>,
+    recorder: Arc<MemoryRecorder>,
     path: String,
     start: Instant,
 }
@@ -257,27 +154,6 @@ impl Drop for SpanGuard {
                 s.borrow_mut().pop();
             });
             span.recorder.span_record(&span.path, nanos);
-        }
-    }
-}
-
-/// RAII guard for a histogram timer opened with [`Obs::timer`].
-pub struct LatencyTimer {
-    active: Option<(Arc<dyn Recorder>, &'static str, Label, Instant)>,
-}
-
-impl LatencyTimer {
-    /// Stops the timer without recording.
-    pub fn cancel(mut self) {
-        self.active = None;
-    }
-}
-
-impl Drop for LatencyTimer {
-    fn drop(&mut self) {
-        if let Some((recorder, name, label, start)) = self.active.take() {
-            let nanos = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            recorder.observe(name, label, nanos);
         }
     }
 }

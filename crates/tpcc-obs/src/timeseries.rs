@@ -7,11 +7,10 @@
 //! [`TimeSeriesPoint`] per window (per-transaction-type sketch
 //! quantiles, counter deltas, derived gauges) and the writer stamps it
 //! with a monotonically increasing `seq` and a **run-relative
-//! monotonic timestamp** `t_ms`, then appends one JSON line. Like
-//! [`SnapshotWriter`](crate::SnapshotWriter), it writes through a
-//! [`JsonLines`] sink, which flushes on drop — including during a
-//! panic unwind — so a crashed or fault-injected run keeps its last
-//! complete window on disk.
+//! monotonic timestamp** `t_ms`, then appends one JSON line. It writes
+//! through a [`JsonLines`] sink, which flushes on drop — including
+//! during a panic unwind — so a crashed or fault-injected run keeps its
+//! last complete window on disk.
 
 use std::io::{self, Write};
 

@@ -92,7 +92,7 @@ impl RelationLayout {
     ///
     /// # Panics
     /// Panics if `relation` is one of the growing relations (those are
-    /// append-ordered; see [`RelationLayout::append_ordered`]) or if
+    /// append-ordered; see [`RelationLayout::append_page`]) or if
     /// `item_pmf` does not have 100 000 entries.
     #[must_use]
     pub fn for_static(

@@ -1217,7 +1217,7 @@ mod tests {
 
         let wal = bm.take_wal().expect("enabled");
         let clean = bm.disk_snapshot();
-        let recovered = wal.recover(checkpoint);
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
         assert!(
             recovered.contents_equal(&clean),
             "recovery replays merges and frees identically"

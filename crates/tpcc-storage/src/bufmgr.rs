@@ -1309,7 +1309,7 @@ mod tests {
 
         let wal = bm.take_wal().expect("enabled");
         let clean = bm.disk_snapshot();
-        let recovered = wal.recover(checkpoint);
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
         assert!(
             recovered.contents_equal(&clean),
             "replayed free + realloc equals the clean image"
@@ -1371,7 +1371,7 @@ mod tests {
         };
         let _ = some_dirty_lost;
 
-        let mut recovered = wal.recover(checkpoint);
+        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 128];
         recovered.read_page(f, 0, &mut buf);
         assert_eq!((buf[7], buf[8]), (1, 4));
@@ -1413,7 +1413,7 @@ mod tests {
         bm.with_page_mut(f, 0, |d| d[2] = 22); // in-flight at the crash
         let wal = bm.take_wal().expect("enabled");
 
-        let mut recovered = wal.recover(checkpoint);
+        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 128];
         recovered.read_page(f, 0, &mut buf);
         assert_eq!(buf[1], 11, "committed write replayed");

@@ -51,6 +51,7 @@ use std::sync::Arc;
 
 use crate::disk::{DiskManager, FileId};
 use crate::fault::{FaultHook, FaultSite};
+use crate::page::live_slots;
 use crate::wal::{apply_entry, Wal, WalEntry};
 
 /// One row-level change, attributed to a slot of a watched page file.
@@ -465,31 +466,6 @@ impl CdcSubscriber {
         changes.sort_by_key(|c| (c.file, c.page, c.slot));
         changes
     }
-}
-
-/// Live slots of a slotted-page image: slot id → (offset, len). Empty
-/// for an unformatted (freed / never-initialized) page. Public so view
-/// rescans can enumerate a raw disk image's records the same way the
-/// decoder does.
-#[must_use]
-pub fn live_slots(data: &[u8]) -> BTreeMap<u16, (usize, usize)> {
-    const HEADER: usize = 6;
-    const SLOT: usize = 4;
-    const DEAD: u16 = u16::MAX;
-    let mut slots = BTreeMap::new();
-    if data.len() < HEADER || u16::from_le_bytes([data[2], data[3]]) == 0 {
-        return slots; // unformatted
-    }
-    let n = u16::from_le_bytes([data[0], data[1]]) as usize;
-    for i in 0..n {
-        let base = HEADER + i * SLOT;
-        let off = u16::from_le_bytes([data[base], data[base + 1]]);
-        let len = u16::from_le_bytes([data[base + 2], data[base + 3]]);
-        if off != DEAD {
-            slots.insert(i as u16, (off as usize, len as usize));
-        }
-    }
-    slots
 }
 
 #[cfg(test)]

@@ -46,6 +46,7 @@
 //! `EXPERIMENTS.md`).
 //!
 //! [`Wal::append`]: crate::wal::Wal::append
+//! [`Wal::flush`]: crate::wal::Wal::flush
 //! [`DiskManager::free_page`]: crate::disk::DiskManager::free_page
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,7 +64,8 @@ pub enum FaultSite {
     /// A buffer-pool miss is about to read a page from the device.
     MissLoad,
     /// A group-commit flush is about to push the WAL tail to the log
-    /// device ([`Wal::flush`]). Only fires under deferred durability.
+    /// device ([`Wal::flush`](crate::wal::Wal::flush)). Only fires under
+    /// deferred durability.
     WalFlush,
     /// A writer is about to stamp a pre-image into the MVCC undo store
     /// ([`crate::undo::UndoStore::record`]) — one site per versioned

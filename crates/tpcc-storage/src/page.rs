@@ -13,9 +13,37 @@
 //! All operations work in place on a borrowed byte slice, so the buffer
 //! manager's frames can be manipulated without copies.
 
+use std::collections::BTreeMap;
+
 const HEADER: usize = 6;
 const SLOT: usize = 4;
 const DEAD: u16 = u16::MAX;
+
+/// Directory entry `i` of a page image: `(offset, len)`.
+fn slot_entry(data: &[u8], i: usize) -> (u16, u16) {
+    let base = HEADER + i * SLOT;
+    (
+        u16::from_le_bytes([data[base], data[base + 1]]),
+        u16::from_le_bytes([data[base + 2], data[base + 3]]),
+    )
+}
+
+/// Live slots of a read-only page image: slot id → (offset, len).
+/// Empty for an unformatted (freed / never-initialized) page. The CDC
+/// decoder diffs page images through this, and view rescans enumerate
+/// a raw disk image's records with it.
+#[must_use]
+pub fn live_slots(data: &[u8]) -> BTreeMap<u16, (usize, usize)> {
+    if data.len() < HEADER || !SlottedPage::is_formatted(data) {
+        return BTreeMap::new();
+    }
+    let n = u16::from_le_bytes([data[0], data[1]]) as usize;
+    (0..n)
+        .map(|i| (i, slot_entry(data, i)))
+        .filter(|&(_, (off, _))| off != DEAD)
+        .map(|(i, (off, len))| (i as u16, (off as usize, len as usize)))
+        .collect()
+}
 
 /// A view over one page's bytes, interpreted as a slotted page.
 #[derive(Debug)]
@@ -86,11 +114,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     fn slot(&self, i: usize) -> (u16, u16) {
-        let base = HEADER + i * SLOT;
-        (
-            u16::from_le_bytes([self.data[base], self.data[base + 1]]),
-            u16::from_le_bytes([self.data[base + 2], self.data[base + 3]]),
-        )
+        slot_entry(self.data, i)
     }
 
     fn set_slot(&mut self, i: usize, offset: u16, len: u16) {
@@ -393,5 +417,45 @@ mod tests {
         p.delete(a);
         let live: Vec<u16> = p.iter().map(|(s, _)| s).collect();
         assert_eq!(live, vec![1]);
+    }
+
+    /// `live_slots` over a raw image agrees with `SlottedPage::iter`
+    /// after any seeded insert/update/delete/compact sequence.
+    #[test]
+    fn live_slots_matches_iter_under_random_churn() {
+        let unformatted = vec![0u8; 256];
+        assert!(live_slots(&unformatted).is_empty());
+        assert!(live_slots(&[]).is_empty());
+
+        let mut rng = tpcc_rand::Xoshiro256::seed_from_u64(30);
+        let mut next = |n: u64| rng.uniform_inclusive(0, n - 1);
+        for _ in 0..50 {
+            let mut buf = vec![0u8; 512];
+            let mut p = SlottedPage::init(&mut buf);
+            for step in 0..200u64 {
+                let slot = next(16) as u16;
+                match next(4) {
+                    0 => {
+                        let len = 1 + next(40) as usize;
+                        let _ = p.insert(&vec![step as u8; len]);
+                    }
+                    1 => {
+                        if let Some(len) = p.get(slot).map(<[u8]>::len) {
+                            assert!(p.update(slot, &vec![!(step as u8); len]));
+                        }
+                    }
+                    2 => {
+                        let _ = p.delete(slot);
+                    }
+                    _ => p.compact(),
+                }
+                let want: Vec<(u16, Vec<u8>)> = p.iter().map(|(s, r)| (s, r.to_vec())).collect();
+                let got: Vec<(u16, Vec<u8>)> = live_slots(p.data)
+                    .into_iter()
+                    .map(|(s, (off, len))| (s, p.data[off..off + len].to_vec()))
+                    .collect();
+                assert_eq!(got, want);
+            }
+        }
     }
 }

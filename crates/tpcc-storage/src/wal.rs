@@ -495,41 +495,22 @@ impl Wal {
     /// Replays the log over a checkpoint image of the disk, producing
     /// the crash-recovered state.
     ///
-    /// Only the **committed prefix** is replayed: entries after the
-    /// last [`WalEntry::Commit`] marker belong to a transaction that
-    /// never committed, and redo-only recovery must not apply them (a
-    /// log with no commit marker at all replays nothing).
-    ///
-    /// # Panics
-    /// Panics if the log does not apply (wrong checkpoint: file/page
-    /// ids diverge) — recovering from a mismatched checkpoint must be
-    /// loud, never silent corruption. Use [`Wal::try_recover`] for the
-    /// non-panicking variant.
-    #[must_use]
-    pub fn recover(&self, checkpoint: DiskManager) -> DiskManager {
-        match self.try_recover(checkpoint) {
-            Ok(disk) => disk,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Replays the committed prefix over a checkpoint image, returning
-    /// a [`RecoveryError`] instead of panicking when the log does not
-    /// apply. Every entry is validated against the evolving checkpoint
-    /// *before* it mutates anything, so a torn/mismatched log is
-    /// rejected cleanly.
+    /// Only the **committed prefix** ([`Wal::committed_len`]) is
+    /// replayed: entries after the last [`WalEntry::Commit`] marker
+    /// belong to a transaction that never committed, and redo-only
+    /// recovery must not apply them (a log with no commit marker at all
+    /// replays nothing). Every entry is validated against the evolving
+    /// checkpoint *before* it mutates anything, so a torn or mismatched
+    /// log is rejected cleanly instead of silently corrupting the image.
     ///
     /// # Errors
     /// Returns a [`RecoveryError`] when an entry names an unknown file
     /// or page, a delta overruns its page, an allocation lands on a
     /// different page number than logged, or a free is a double free.
-    pub fn try_recover(&self, mut checkpoint: DiskManager) -> Result<DiskManager, RecoveryError> {
-        let mut scratch = vec![0u8; checkpoint.page_size()];
-        for entry in &self.entries[..self.committed_len()] {
-            apply_entry(&mut checkpoint, &mut scratch, entry)?;
-        }
-        checkpoint.reset_stats();
-        Ok(checkpoint)
+    pub fn try_recover(&self, checkpoint: DiskManager) -> Result<DiskManager, RecoveryError> {
+        // no prepare resolves to commit, so the boundary is exactly
+        // `committed_len()`: the last durable Commit/Decide
+        self.try_recover_resolved(checkpoint, |_| false)
     }
 
     /// [`Wal::try_recover`] with 2PC in-doubt resolution: replays up to
@@ -897,29 +878,13 @@ mod tests {
         });
         wal.append(WalEntry::Commit { txn: 1 });
 
-        let recovered = wal.recover(checkpoint);
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut out = vec![0u8; 64];
         let mut recovered = recovered;
         recovered.read_page(f, p, &mut out);
         assert_eq!(out[5], 42);
         assert_eq!(wal.commits(), 1);
         assert_eq!(wal.delta_bytes(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "page number mismatch")]
-    fn mismatched_checkpoint_is_loud() {
-        let mut wal = Wal::new();
-        wal.append(WalEntry::AllocPage {
-            file: FileId(0),
-            page: 0,
-        });
-        wal.append(WalEntry::Commit { txn: 1 });
-        // checkpoint already has that page: replay would double-allocate
-        let mut checkpoint = DiskManager::new(64);
-        let f = checkpoint.create_file();
-        checkpoint.allocate_page(f);
-        let _ = wal.recover(checkpoint);
     }
 
     #[test]
@@ -946,7 +911,7 @@ mod tests {
         });
         wal.append(WalEntry::AllocPage { file: f, page: 1 });
 
-        let mut recovered = wal.recover(checkpoint);
+        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 64];
         recovered.read_page(f, p, &mut buf);
         assert_eq!(buf[0], 1, "committed transaction replayed");
@@ -968,7 +933,7 @@ mod tests {
             offset: 0,
             data: vec![9],
         });
-        let mut recovered = wal.recover(checkpoint);
+        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 64];
         recovered.read_page(f, p, &mut buf);
         assert_eq!(buf[0], 0, "no commit marker, nothing applies");
@@ -1002,7 +967,7 @@ mod tests {
         wal.append(WalEntry::AllocPage { file: f, page: p });
         wal.append(WalEntry::Commit { txn: 1 });
 
-        let recovered = wal.recover(checkpoint);
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
         assert!(
             recovered.contents_equal(&disk.snapshot()),
             "replayed free/realloc converges to the live disk"
@@ -1406,7 +1371,7 @@ mod tests {
         });
         assert_eq!(wal.committed_len(), 4, "abort decision is a boundary");
         assert_eq!(wal.commits(), 0, "an abort is not a commit");
-        let mut recovered = wal.recover(checkpoint);
+        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 64];
         recovered.read_page(f, p, &mut buf);
         assert_eq!(buf[0], 0, "compensation nets the abort to a no-op");
