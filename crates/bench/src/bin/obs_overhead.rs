@@ -6,9 +6,10 @@
 //!    (`Obs::disabled()` — every instrumentation site branches on a
 //!    `None` and does nothing else);
 //! 2. the same workload with an attached [`MemoryRecorder`], and
-//!    again with windowed time-series flushing on top (50 windows
-//!    into an `io::sink()` — sketch deltas, counter diffs, JSON
-//!    serialization; everything but the disk write);
+//!    again cut into 50 time-series windows on top (50 driver chunks,
+//!    each read back as a window into an `io::sink()` — sketch deltas,
+//!    counter diffs, JSON serialization; everything but the disk
+//!    write);
 //! 3. the per-call cost of disabled `counter()` / `span()` calls, so
 //!    the disabled path's cost can be bounded analytically as
 //!    `calls-per-transaction x per-call-cost / transaction-latency`;
@@ -24,11 +25,12 @@
 
 use std::sync::Arc;
 use std::time::Instant;
+use tpcc_bench::cell::CellSpec;
 use tpcc_bench::Args;
 use tpcc_db::db::DbConfig;
 use tpcc_db::driver::DriverConfig;
-use tpcc_db::{loader, Driver, FaultPlan, GroupCommitConfig, Telemetry, TelemetryConfig};
-use tpcc_obs::{Label, MemoryRecorder, Obs};
+use tpcc_db::{loader, Driver, FaultPlan, GroupCommitConfig};
+use tpcc_obs::{Label, MemoryRecorder, Obs, TimeSeriesWriter};
 
 /// Times `transactions` of the serial driver on a freshly loaded
 /// `cfg` with `obs` attached and `plan`, if any, installed.
@@ -44,27 +46,27 @@ fn run_once(transactions: u64, cfg: DbConfig, obs: Obs, plan: Option<FaultPlan>)
     start.elapsed().as_secs_f64()
 }
 
-/// Enabled recorder *plus* windowed time-series flushing: per-txn
-/// shard records, window harvests (sketch deltas + counter diffs) and
-/// JSON serialization every `transactions/50` completions — the
-/// full cost of live telemetry, minus only the file write (the sink
-/// is `io::sink()` so the number isn't about disk speed).
-fn run_once_flushed(transactions: u64, cfg: DbConfig) -> f64 {
-    let mut db = loader::load(cfg, 11);
-    let recorder = Arc::new(MemoryRecorder::new());
-    db.set_obs(Obs::new(recorder.clone()));
-    let telemetry = Telemetry::new(
-        recorder,
-        Box::new(std::io::sink()),
-        TelemetryConfig {
-            every_txns: (transactions / 50).max(1),
-            ..TelemetryConfig::default()
-        },
-        1,
-    );
-    let mut driver = Driver::new(&db, DriverConfig::default(), 12);
+/// Enabled recorder *plus* time-series windows: the same input stream
+/// run as 50 chunks on one driver, each read back as a window (sketch
+/// deltas + counter diffs) and serialized — the full cost of live
+/// telemetry, minus only the file write (the sink is `io::sink()` so
+/// the number isn't about disk speed).
+fn run_once_windowed(transactions: u64, cfg: DbConfig) -> f64 {
+    const WINDOWS: u64 = 50;
+    let mut cell = CellSpec::new(cfg).load(11);
+    let mut out = TimeSeriesWriter::new(std::io::sink());
+    let mut driver = Driver::new(&cell.db, DriverConfig::default(), 12);
     let start = Instant::now();
-    let _ = driver.run_timeseries(&mut db, transactions, &telemetry);
+    let mut mark = cell.counters();
+    for i in 0..WINDOWS {
+        let n = transactions / WINDOWS + u64::from(i < transactions % WINDOWS);
+        let chunk = Instant::now();
+        let _ = driver.run(&mut cell.db, n);
+        let now = cell.counters();
+        let point = now.since(&mark).window(chunk.elapsed());
+        out.emit(&point).expect("io::sink never fails");
+        mark = now;
+    }
     start.elapsed().as_secs_f64()
 }
 
@@ -92,22 +94,22 @@ fn main() {
     // interleave the three configurations so drift hits all equally
     let mut disabled = Vec::with_capacity(reps);
     let mut enabled = Vec::with_capacity(reps);
-    let mut flushed = Vec::with_capacity(reps);
+    let mut windowed = Vec::with_capacity(reps);
     for rep in 0..reps {
         disabled.push(run_once(transactions, tight, Obs::disabled(), None));
         enabled.push(run_once(transactions, tight, enabled_obs(), None));
-        flushed.push(run_once_flushed(transactions, tight));
+        windowed.push(run_once_windowed(transactions, tight));
         eprintln!(
-            "rep {}: disabled {:.3}s, enabled {:.3}s, enabled+flush {:.3}s",
+            "rep {}: disabled {:.3}s, enabled {:.3}s, enabled+windows {:.3}s",
             rep + 1,
             disabled[rep],
             enabled[rep],
-            flushed[rep]
+            windowed[rep]
         );
     }
     let d = median(disabled);
     let e = median(enabled);
-    let f = median(flushed);
+    let f = median(windowed);
     println!(
         "driver, {transactions} txns, median of {reps}: disabled {:.0} txn/s, enabled {:.0} txn/s, enabled overhead {:+.2}%",
         transactions as f64 / d,
@@ -115,7 +117,7 @@ fn main() {
         (e / d - 1.0) * 100.0
     );
     println!(
-        "enabled + 50-window time-series flush: {:.0} txn/s, overhead vs disabled {:+.2}%, vs enabled {:+.2}%",
+        "enabled + 50 time-series windows: {:.0} txn/s, overhead vs disabled {:+.2}%, vs enabled {:+.2}%",
         transactions as f64 / f,
         (f / d - 1.0) * 100.0,
         (f / e - 1.0) * 100.0

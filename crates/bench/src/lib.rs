@@ -90,10 +90,9 @@ impl Cli {
 }
 
 /// Arguments read against a usage line such as
-/// `"[transactions] [seed] [--check] [--every-ms N]"`: bracketed
-/// positional `u64`s in order (each optional), bare flags, and flags
-/// that take a `u64`. The line a user is shown is the line that is
-/// parsed against, so the two cannot drift apart.
+/// `"[transactions] [seed] [--check]"`: bracketed positional `u64`s in
+/// order (each optional) and bare flags. The line a user is shown is
+/// the line that is parsed against, so the two cannot drift apart.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: Vec<(&'static str, u64)>,
@@ -112,34 +111,27 @@ impl Args {
     {
         let specs = usage.split(['[', ']']).filter(|s| !s.trim().is_empty());
         let (flags, positional): (Vec<_>, Vec<_>) = specs.partition(|s| s.starts_with("--"));
-        let number = |name: &str, text: &str| {
-            let parsed = text.parse::<u64>();
-            parsed.map_err(|_| format!("{name} must be a u64, got '{text}'"))
-        };
         let mut parsed = Args::default();
         let mut names = positional.into_iter();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            if !arg.starts_with("--") {
+        for arg in args {
+            if arg.starts_with("--") {
+                let flag = flags.iter().find(|f| **f == arg);
+                parsed
+                    .flags
+                    .push(flag.ok_or(format!("unknown flag '{arg}'"))?);
+            } else {
                 let name = names.next().ok_or(format!("unexpected argument '{arg}'"))?;
-                parsed.values.push((name, number(name, &arg)?));
-                continue;
-            }
-            let spec = flags.iter().find(|f| f.split(' ').next() == Some(&arg));
-            let spec = spec.ok_or(format!("unknown flag '{arg}'"))?;
-            match spec.split_once(' ') {
-                None => parsed.flags.push(spec),
-                Some((name, _)) => {
-                    let text = it.next().ok_or(format!("{name} takes a value"))?;
-                    parsed.values.push((name, number(name, &text)?));
-                }
+                let value = arg.parse::<u64>();
+                parsed.values.push((
+                    name,
+                    value.map_err(|_| format!("{name} must be a u64, got '{arg}'"))?,
+                ));
             }
         }
         Ok(parsed)
     }
 
-    /// The value given for `name` (a positional or a `--flag N`), else
-    /// `default`.
+    /// The value given for positional `name`, else `default`.
     #[must_use]
     pub fn get(&self, name: &str, default: u64) -> u64 {
         let given = self.values.iter().find(|(n, _)| *n == name);
@@ -243,14 +235,13 @@ mod tests {
         }
     }
 
-    const USAGE: &str = "[transactions] [seed] [--check] [--every-ms N]";
+    const USAGE: &str = "[transactions] [seed] [--check]";
 
     #[test]
     fn args_read_positionals_flags_and_defaults() {
-        let a = Args::parse(USAGE, strings("500 --every-ms 20 7 --check")).unwrap();
+        let a = Args::parse(USAGE, strings("500 --check 7")).unwrap();
         assert_eq!(a.get("transactions", 1), 500);
         assert_eq!(a.get("seed", 42), 7);
-        assert_eq!(a.get("--every-ms", 0), 20);
         assert!(a.flag("--check"));
         let a = Args::parse(USAGE, strings("500")).unwrap();
         assert_eq!(a.get("seed", 42), 42);
@@ -263,8 +254,7 @@ mod tests {
             ("5k", "transactions must be a u64, got '5k'"),
             ("1 2 3", "unexpected argument '3'"),
             ("--frob", "unknown flag '--frob'"),
-            ("--every-ms", "--every-ms takes a value"),
-            ("--every-ms soon", "--every-ms must be a u64"),
+            ("--check=1", "unknown flag '--check=1'"),
         ] {
             let err = Args::parse(USAGE, strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");

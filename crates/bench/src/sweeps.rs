@@ -19,9 +19,9 @@ use tpcc_db::db::DbConfig;
 use tpcc_db::driver::{DriverConfig, TX_NAMES};
 use tpcc_db::{
     CdcPipeline, Driver, GroupCommitConfig, MaterializedViews, ParallelDriver, ParallelReport,
-    Telemetry, TelemetryConfig, TerminalGroup, TpccDb,
+    TerminalGroup, TpccDb,
 };
-use tpcc_obs::{JsonLines, JsonObject, MemoryRecorder, DEFAULT_TRACE_RING};
+use tpcc_obs::{JsonLines, JsonObject, MemoryRecorder, TimeSeriesWriter, DEFAULT_TRACE_RING};
 use tpcc_schema::relation::Relation;
 use tpcc_workload::{TransactionMix, TxType};
 
@@ -66,7 +66,7 @@ pub const SWEEPS: [Sweep; 8] = [
     (
         "timeseries",
         "timeseries.jsonl",
-        "[transactions] [threads] [seed] [windows] [--trace] [--every-ms N]",
+        "[transactions] [threads] [seed] [windows] [--trace]",
         timeseries,
     ),
     (
@@ -708,29 +708,27 @@ fn cdc_lag(args: &Args, out: Sink) -> Result<(), Vec<String>> {
 }
 
 /// Live time-series telemetry: N terminals drive one shared database
-/// while windowed telemetry streams to the sink — one line per window
-/// with per-transaction-type throughput and p50/p95/p99 latency (from
-/// window-exact quantile-sketch deltas), buffer-miss ppm, lock
-/// wounds/waits, latch contention, WAL bytes, and the group-commit
-/// columns (`wal_flushes`, `commits_per_flush`, `commit_wait_p95_us`),
-/// each stamped with a run-relative monotonic `t_ms`.
+/// in `windows` consecutive measured chunks, and each chunk is one line
+/// — per-transaction-type throughput and p50/p95/p99 latency, buffer-
+/// miss ppm, lock wounds/waits, latch contention, WAL bytes, and the
+/// group-commit columns (`wal_flushes`, `commits_per_flush`,
+/// `commit_wait_p95_us`), each stamped with a run-relative monotonic
+/// `t_ms` (the paper's batch means over one long run).
 ///
 /// The cell is the scaling sweep's operating point with the WAL and
-/// group commit on, so the telemetry has real misses, waits, log
-/// traffic and flushes to show. The default flush mode is every
-/// `transactions/windows` completed transactions (deterministic window
-/// boundaries for a given seed); `--every-ms N` switches to wall-clock
-/// windows of N milliseconds. With `--trace`, every thread
-/// additionally records transaction spans, lock waits, and I/O delays
-/// into per-thread ring buffers, exported after the run as
-/// `results/trace.json` — load it in `chrome://tracing` or
-/// <https://ui.perfetto.dev> to see the cross-thread timeline.
+/// group commit on, so the windows have real misses, waits, log
+/// traffic and flushes to show. Chunk `i` runs with seed
+/// `seed + 7919·i`, so window boundaries are deterministic for a given
+/// seed. With `--trace`, every thread additionally records transaction
+/// spans, lock waits, and I/O delays into per-thread ring buffers,
+/// exported after the run as `results/trace.json` — load it in
+/// `chrome://tracing` or <https://ui.perfetto.dev> to see the
+/// cross-thread timeline.
 fn timeseries(args: &Args, out: Sink) -> Result<(), Vec<String>> {
     let transactions = args.get("transactions", 25_000);
     let threads = args.get("threads", 8);
     let seed = args.get("seed", 42);
-    let windows = args.get("windows", 25).max(1);
-    let every_ms = args.get("--every-ms", 0);
+    let windows = args.get("windows", 25).clamp(1, transactions.max(1));
 
     let mut spec = CellSpec::io_bound(4);
     spec.db.enable_wal = true;
@@ -740,36 +738,41 @@ fn timeseries(args: &Args, out: Sink) -> Result<(), Vec<String>> {
     let collector = args
         .flag("--trace")
         .then(|| recorder.install_trace(DEFAULT_TRACE_RING));
-    let cell = spec.load_on(seed, Arc::clone(&recorder));
+    let cell = spec.load_on(seed, recorder);
 
-    let every_txns = (transactions / windows).max(1);
-    let tel_cfg = TelemetryConfig {
-        every_txns: if every_ms > 0 { 0 } else { every_txns },
-        every_ms,
-    };
-    let telemetry = Telemetry::new(recorder, out, tel_cfg, threads as usize);
-    let driver = ParallelDriver::new(spec.driver, threads, seed);
-    let report = driver.run_timeseries(&cell.db, transactions, &telemetry);
+    let mut out = TimeSeriesWriter::new(out);
+    let start = cell.counters();
+    let mut mark = start.clone();
+    let mut elapsed = Duration::ZERO;
+    for i in 0..windows {
+        let n = transactions / windows + u64::from(i < transactions % windows);
+        let driver = ParallelDriver::new(spec.driver, threads, seed.wrapping_add(i * 7919));
+        let chunk = driver.run(&cell.db, n);
+        elapsed += chunk.elapsed;
+        let now = cell.counters();
+        let point = now.since(&mark).window(chunk.elapsed);
+        out.emit(&point).expect("write a time-series window");
+        mark = now;
+    }
+    out.finish().expect("flush the time-series windows");
 
+    let run = mark.since(&start);
+    let retries = run.get("txn_retries");
+    let total = run.window(elapsed);
     eprintln!(
         "{} transactions on {threads} terminals in {:.2}s ({:.0} tps, abort rate {:.4})",
-        report.total(),
-        report.elapsed.as_secs_f64(),
-        report.throughput(),
-        report.abort_rate(),
+        total.txns,
+        elapsed.as_secs_f64(),
+        total.txns as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE),
+        retries as f64 / (total.txns + retries).max(1) as f64,
     );
-    for (name, s) in TX_NAMES.iter().zip(&report.latency_ns) {
-        if !s.is_empty() {
-            eprintln!(
-                "  {name:<14} n={:<6} p50={:>8.1}µs p95={:>8.1}µs p99={:>8.1}µs",
-                s.count(),
-                s.quantile(0.50) / 1e3,
-                s.quantile(0.95) / 1e3,
-                s.quantile(0.99) / 1e3,
-            );
-        }
+    for (name, s) in total.series.iter().filter(|(_, s)| s.txns > 0) {
+        eprintln!(
+            "  {name:<14} n={:<6} p50={:>8.1}µs p95={:>8.1}µs p99={:>8.1}µs",
+            s.txns, s.p50_us, s.p95_us, s.p99_us,
+        );
     }
-    eprintln!("{} windows", telemetry.points_written());
+    eprintln!("{} windows", out.points_written());
 
     if let Some(collector) = collector {
         std::fs::write("results/trace.json", collector.export_chrome())
@@ -842,4 +845,51 @@ fn soak(args: &Args, out: Sink) -> Result<(), Vec<String>> {
         write(&mut out, &line);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+    use std::sync::{Arc, Mutex};
+
+    use tpcc_benchmark::json::Json;
+
+    use super::*;
+
+    /// A sink the test reads back after the sweep has consumed it.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One line per chunk, and the chunks split the run exactly.
+    #[test]
+    fn timeseries_writes_one_window_per_chunk() {
+        let usage = SWEEPS.iter().find(|s| s.0 == "timeseries").unwrap().2;
+        let args = Args::parse(usage, "60 2 42 3".split(' ').map(String::from)).unwrap();
+        let sink = Shared::default();
+        timeseries(&args, Box::new(sink.clone())).unwrap();
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let txns: Vec<f64> = text
+            .lines()
+            .map(|l| {
+                Json::parse(l)
+                    .unwrap()
+                    .get("txns")
+                    .unwrap()
+                    .as_f64()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(txns, [20.0, 20.0, 20.0]);
+    }
 }

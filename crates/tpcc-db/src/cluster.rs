@@ -444,7 +444,7 @@ impl Cluster {
             .collect();
         let (p0, c0, a0) = self.two_pc_counts();
         let seats = even_seats(self.cfg.driver, terminals.max(1), transactions, seed);
-        let (tallies, elapsed) = run_terminals(&Routed { cl: self, lms }, &seats, None);
+        let (tallies, elapsed) = run_terminals(&Routed { cl: self, lms }, &seats);
         let mut report = ClusterReport {
             per_node: vec![NodeReport::default(); self.nodes.len()],
             elapsed,

@@ -348,13 +348,6 @@ impl TpccDb {
         self.bm.group_commit().map(|lm| lm.stats())
     }
 
-    /// Clone of the cumulative commit-wait sketch in nanoseconds
-    /// (`None` when group commit is off).
-    #[must_use]
-    pub fn commit_wait_sketch(&self) -> Option<tpcc_obs::QuantileSketch> {
-        self.bm.group_commit().map(|lm| lm.commit_wait_sketch())
-    }
-
     /// Flushes any pending group-commit tail (quiesce points; no-op
     /// under synchronous durability).
     pub fn flush_log(&self) {

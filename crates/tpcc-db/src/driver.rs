@@ -9,8 +9,7 @@
 //! the tests assert the final database images are byte-identical).
 
 use crate::db::TpccDb;
-use crate::telemetry::Telemetry;
-use crate::terminal::{OneNode, Shard, Terminal};
+use crate::terminal::{OneNode, Terminal};
 use crate::txns::{CustomerSelector, OrderLineReq};
 use tpcc_rand::{NuRand, Xoshiro256};
 use tpcc_schema::relation::Relation;
@@ -394,47 +393,18 @@ impl Driver {
     /// latency lands in a per-type histogram (`txn_latency_ns/<type>`)
     /// when the call returns.
     pub fn run(&mut self, db: &mut TpccDb, transactions: u64) -> DriverReport {
-        let mut report = DriverReport::default();
-        self.run_into(&mut report, db, transactions, None);
-        report.with_buffer_stats(db)
-    }
-
-    /// Like [`Driver::run`] with live windowed telemetry: each
-    /// completed transaction lands in `telemetry`'s shard 0, and
-    /// windows flush on every-K-transactions boundaries per the hub's
-    /// [`TelemetryConfig`](crate::TelemetryConfig) (the serial driver
-    /// has no flusher thread, so `every_ms` is ignored). The final
-    /// partial window is flushed before this returns.
-    pub fn run_timeseries(
-        &mut self,
-        db: &mut TpccDb,
-        transactions: u64,
-        telemetry: &std::sync::Arc<Telemetry>,
-    ) -> DriverReport {
-        let mut report = DriverReport::default();
-        let shard = (telemetry.clone(), telemetry.shard(0));
-        self.run_into(&mut report, db, transactions, Some(shard));
-        telemetry.finish();
-        report.with_buffer_stats(db)
-    }
-
-    fn run_into(
-        &mut self,
-        report: &mut DriverReport,
-        db: &TpccDb,
-        transactions: u64,
-        telemetry: Option<Shard>,
-    ) {
         let place = OneNode { db, lm: None };
-        let mut terminal = Terminal::new(&place, telemetry);
+        let mut terminal = Terminal::new(&place);
         terminal.one_delivery = true;
         let tally = terminal.run(&mut self.gen, transactions);
-        for (mine, theirs) in report.executed.iter_mut().zip(tally.executed) {
-            *mine += theirs;
+        DriverReport {
+            executed: tally.executed,
+            new_orders: tally.new_orders,
+            deliveries: tally.deliveries,
+            rollbacks: tally.rollbacks,
+            ..DriverReport::default()
         }
-        report.new_orders += tally.new_orders;
-        report.deliveries += tally.deliveries;
-        report.rollbacks += tally.rollbacks;
+        .with_buffer_stats(db)
     }
 }
 

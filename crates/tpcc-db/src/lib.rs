@@ -25,7 +25,6 @@ pub mod mvcc;
 pub mod names;
 pub mod parallel;
 pub mod records;
-pub mod telemetry;
 mod terminal;
 pub mod txns;
 pub mod verify;
@@ -42,7 +41,6 @@ pub use inject::{
     BoundaryReport, CdcSweepReport, FaultRunReport, SweepConfig, SweepReport, TornTailReport,
 };
 pub use parallel::{ParallelDriver, ParallelReport, TerminalGroup};
-pub use telemetry::{Telemetry, TelemetryConfig, WindowAccum};
 pub use txns::{
     DeliveryResult, NewOrderAborted, NewOrderResult, OrderStatusResult, PaymentResult,
     StockLevelResult,

@@ -9,12 +9,10 @@
 //! seed `s`, and the tests assert the resulting database images are
 //! byte-identical.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::db::TpccDb;
 use crate::driver::DriverConfig;
-use crate::telemetry::Telemetry;
 use crate::terminal::{even_seats, lock_manager, run_terminals, OneNode, Seat, Tally};
 use tpcc_lock::LockManager;
 use tpcc_obs::QuantileSketch;
@@ -119,61 +117,8 @@ impl ParallelDriver {
     /// manager, so tests can snapshot its wait-for graph while the run
     /// is in flight.
     pub fn run_on(&self, db: &TpccDb, lm: &LockManager, transactions: u64) -> ParallelReport {
-        self.run_inner(db, lm, transactions, None)
-    }
-
-    /// Like [`ParallelDriver::run`] with live windowed telemetry: each
-    /// terminal records into its shard of `telemetry`, and windows
-    /// flush per the hub's [`TelemetryConfig`](crate::TelemetryConfig)
-    /// — inline on every-K-transactions boundaries, and/or from a
-    /// flusher thread every N ms. The final partial window is flushed
-    /// before this returns.
-    pub fn run_timeseries(
-        &self,
-        db: &TpccDb,
-        transactions: u64,
-        telemetry: &Arc<Telemetry>,
-    ) -> ParallelReport {
-        let lm = lock_manager(db.obs());
-        let report = self.run_inner(db, &lm, transactions, Some(telemetry));
-        telemetry.finish();
-        report
-    }
-
-    fn run_inner(
-        &self,
-        db: &TpccDb,
-        lm: &LockManager,
-        transactions: u64,
-        telemetry: Option<&Arc<Telemetry>>,
-    ) -> ParallelReport {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        // time-mode flusher: detached (Telemetry is 'static behind the
-        // Arc), stopped and joined once the terminals finish
-        let flusher = telemetry
-            .filter(|tel| tel.config().every_ms > 0)
-            .map(|tel| {
-                let tel = Arc::clone(tel);
-                let stop = Arc::new(AtomicBool::new(false));
-                let stop2 = Arc::clone(&stop);
-                let every = Duration::from_millis(tel.config().every_ms);
-                let handle = std::thread::spawn(move || {
-                    while !stop2.load(Ordering::Acquire) {
-                        std::thread::sleep(every);
-                        if stop2.load(Ordering::Acquire) {
-                            break; // run_timeseries flushes the tail
-                        }
-                        tel.harvest();
-                    }
-                });
-                (handle, stop)
-            });
         let seats = even_seats(self.cfg, self.threads, transactions, self.seed);
-        let (tallies, elapsed) = run_terminals(&OneNode { db, lm: Some(lm) }, &seats, telemetry);
-        if let Some((handle, stop)) = flusher {
-            stop.store(true, Ordering::Release);
-            handle.join().expect("telemetry flusher");
-        }
+        let (tallies, elapsed) = run_terminals(&OneNode { db, lm: Some(lm) }, &seats);
         ParallelReport::merged(&tallies, elapsed)
     }
 }
@@ -217,7 +162,7 @@ impl ParallelDriver {
                 think_us: group.think_us,
             })
             .collect();
-        let (tallies, elapsed) = run_terminals(&OneNode { db, lm: Some(&lm) }, &seats, None);
+        let (tallies, elapsed) = run_terminals(&OneNode { db, lm: Some(&lm) }, &seats);
         let mut rest = tallies.as_slice();
         groups
             .iter()
@@ -236,6 +181,7 @@ mod tests {
     use crate::db::DbConfig;
     use crate::loader;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn four_warehouse_cfg() -> DbConfig {
         let mut cfg = DbConfig::small();
@@ -317,7 +263,9 @@ mod tests {
         let mut cfg = four_warehouse_cfg();
         cfg.enable_wal = true;
         cfg.group_commit = Some(tpcc_storage::GroupCommitConfig::new(150, 4, 30));
-        let db = loader::load(cfg, 81);
+        let rec = Arc::new(tpcc_obs::MemoryRecorder::new());
+        let mut db = loader::load(cfg, 81);
+        db.set_obs(tpcc_obs::Obs::new(rec.clone()));
         let report = ParallelDriver::new(DriverConfig::default(), 8, 82).run(&db, 1200);
         assert_eq!(report.total(), 1200);
         db.flush_log();
@@ -335,7 +283,9 @@ mod tests {
             "a flush never covers zero commits: {stats:?}"
         );
 
-        let waits = db.commit_wait_sketch().expect("group commit on");
+        let waits = rec
+            .histogram("commit_wait_ns", tpcc_obs::Label::None)
+            .expect("group commit on");
         assert_eq!(
             waits.count(),
             commits,

@@ -50,14 +50,12 @@
 //! (it may see concurrent quantity updates, never torn records, which
 //! the buffer pool's frame latches rule out).
 
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cluster::MsgKind;
 use crate::db::TpccDb;
 use crate::driver::{DriverConfig, InputGen, TxnInput, TX_NAMES};
 use crate::keys;
-use crate::telemetry::{Telemetry, WindowAccum};
 use crate::txns;
 use tpcc_lock::{LockKey, LockManager, LockMode, Ts, Txn, Wounded};
 use tpcc_obs::{CounterHandle, HistogramHandle, Label, Obs, QuantileSketch, TraceHandle};
@@ -101,9 +99,6 @@ fn shared(node: usize, space: u32, key: u64) -> Lock {
 fn exclusive(node: usize, space: u32, key: u64) -> Lock {
     (node, LockKey { space, key }, LockMode::Exclusive)
 }
-
-/// A terminal's telemetry hub and its shard of it.
-pub(crate) type Shard = (Arc<Telemetry>, Arc<Mutex<WindowAccum>>);
 
 /// The seed of terminal `t` under driver seed `seed`. Terminal 0 keeps
 /// the seed itself, so a one-terminal parallel run replays the serial
@@ -310,7 +305,6 @@ pub(crate) struct Terminal<'p, P: Placement> {
     p: &'p P,
     series: Vec<Series>,
     tally: Tally,
-    telemetry: Option<Shard>,
     /// Run Delivery as the one ten-district transaction
     /// ([`TpccDb::delivery`]) the serial driver defines it as, instead
     /// of ten per-district sub-transactions.
@@ -320,7 +314,7 @@ pub(crate) struct Terminal<'p, P: Placement> {
 }
 
 impl<'p, P: Placement> Terminal<'p, P> {
-    pub(crate) fn new(p: &'p P, telemetry: Option<Shard>) -> Self {
+    pub(crate) fn new(p: &'p P) -> Self {
         Self {
             p,
             series: (0..p.nodes())
@@ -330,7 +324,6 @@ impl<'p, P: Placement> Terminal<'p, P> {
                 per_node: vec![NodeTally::default(); p.nodes()],
                 ..Tally::default()
             },
-            telemetry,
             one_delivery: false,
             think_us: 0,
         }
@@ -356,10 +349,6 @@ impl<'p, P: Placement> Terminal<'p, P> {
                 self.tally.remote_latency_ns.record(ns);
             }
             self.series[hn].trace.record(TX_NAMES[t], t0);
-            if let Some((tel, shard)) = &self.telemetry {
-                shard.lock().expect("telemetry shard").record(t, ns);
-                tel.note_completion();
-            }
             if self.think_us > 0 {
                 std::thread::sleep(Duration::from_micros(self.think_us));
             }
@@ -407,9 +396,6 @@ impl<'p, P: Placement> Terminal<'p, P> {
                 Err(Wounded) => {
                     self.tally.retries[t] += 1;
                     self.series[hn].retries[t].add(1);
-                    if let Some((_, shard)) = &self.telemetry {
-                        shard.lock().expect("telemetry shard").record_retry();
-                    }
                 }
             }
         }
@@ -581,22 +567,15 @@ pub(crate) fn even_seats(
 }
 
 /// Runs one terminal thread per seat against `p`; returns their
-/// tallies in seat order and the wall-clock time of the run. Seat `t`
-/// records into shard `t` of `telemetry`.
-pub(crate) fn run_terminals<P: Placement>(
-    p: &P,
-    seats: &[Seat],
-    telemetry: Option<&Arc<Telemetry>>,
-) -> (Vec<Tally>, Duration) {
+/// tallies in seat order and the wall-clock time of the run.
+pub(crate) fn run_terminals<P: Placement>(p: &P, seats: &[Seat]) -> (Vec<Tally>, Duration) {
     let start = Instant::now();
     let tallies = std::thread::scope(|scope| {
         let threads: Vec<_> = seats
             .iter()
-            .enumerate()
-            .map(|(t, seat)| {
-                let shard = telemetry.map(|tel| (Arc::clone(tel), tel.shard(t)));
+            .map(|seat| {
                 scope.spawn(move || {
-                    let mut terminal = Terminal::new(p, shard);
+                    let mut terminal = Terminal::new(p);
                     terminal.think_us = seat.think_us;
                     let scale = p.db(0).config();
                     let mut gen = InputGen::with_scale(

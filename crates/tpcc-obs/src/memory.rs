@@ -89,9 +89,9 @@ impl MemoryRecorder {
     }
 
     /// Sum of a counter across **all** labels — e.g. total
-    /// `buf_misses` over every per-relation `Idx` label. Used by the
-    /// time-series flusher to compute window deltas of metrics that
-    /// are naturally per-file.
+    /// `buf_misses` over every per-relation `Idx` label. Used to
+    /// compute interval deltas (a sweep cell, a time-series window) of
+    /// metrics that are naturally per-file.
     #[must_use]
     pub fn counter_total(&self, name: &str) -> u64 {
         self.counters

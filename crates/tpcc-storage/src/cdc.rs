@@ -29,11 +29,11 @@
 //!   back transaction's forward and compensating deltas both precede
 //!   the next marker and its page diffs net to zero: no events.
 //! * **2PC** — a durable [`WalEntry::Prepare`] is not a boundary:
-//!   prepared-but-undecided deltas stay pending until the
-//!   coordinator's [`WalEntry::Decide`] lands (presumed abort, exactly
-//!   the recovery rule). An abort decision is preceded by compensating
-//!   deltas, so its batch is empty. [`CdcSubscriber::poll_resolved`]
-//!   mirrors [`Wal::try_recover_resolved`] for in-doubt resolution.
+//!   prepared-but-undecided deltas stay pending until a
+//!   [`WalEntry::Decide`] lands in the same log, so an in-doubt
+//!   transaction emits nothing (presumed abort, the recovery rule
+//!   without a resolver). An abort decision is preceded by
+//!   compensating deltas, so its batch is empty.
 //!
 //! # Backpressure and checkpoints
 //!
@@ -315,13 +315,13 @@ impl CdcSubscriber {
                 });
             }
         }
-        Ok(self.decode_to(wal, committed_len, None))
+        Ok(self.decode_to(wal, committed_len))
     }
 
     /// [`CdcSubscriber::poll`] ignoring the lag bound — the catch-up
     /// path after a [`CdcLag`] error.
     pub fn poll_unbounded(&mut self, wal: &Wal) -> Vec<ChangeBatch> {
-        self.decode_to(wal, wal.committed_len(), None)
+        self.decode_to(wal, wal.committed_len())
     }
 
     /// Consumes entries up to `upto`, which must be a committed batch
@@ -333,30 +333,14 @@ impl CdcSubscriber {
             upto <= wal.committed_len(),
             "poll_upto past the durable committed prefix"
         );
-        self.decode_to(wal, upto, None)
-    }
-
-    /// Polls with 2PC in-doubt resolution, mirroring
-    /// [`Wal::try_recover_resolved`]: a durable `Prepare` whose
-    /// coordinator durably decided commit extends the consumable
-    /// prefix past itself and closes a (committed) batch, exactly as
-    /// that prefix would replay on recovery.
-    pub fn poll_resolved(&mut self, wal: &Wal, resolver: impl Fn(u64) -> bool) -> Vec<ChangeBatch> {
-        let upto = wal.committed_len_resolved(&resolver);
-        self.decode_to(wal, upto, Some(&resolver))
+        self.decode_to(wal, upto)
     }
 
     /// Replays `entries[cursor..upto]` into the shadow, diffing watched
-    /// pages at each Commit/Decide marker (plus each resolver-committed
-    /// Prepare when polling resolved). `upto` always lands on such a
-    /// boundary (it comes from `committed_len*`), so no before-image is
-    /// left dangling.
-    fn decode_to(
-        &mut self,
-        wal: &Wal,
-        upto: usize,
-        resolver: Option<&dyn Fn(u64) -> bool>,
-    ) -> Vec<ChangeBatch> {
+    /// pages at each Commit/Decide marker. `upto` always lands on such
+    /// a boundary (it comes from `committed_len`), so no before-image
+    /// is left dangling.
+    fn decode_to(&mut self, wal: &Wal, upto: usize) -> Vec<ChangeBatch> {
         let entries = wal.entries();
         let upto = upto.min(entries.len());
         if upto <= self.cursor {
@@ -383,10 +367,6 @@ impl CdcSubscriber {
                 .expect("a durable committed prefix must replay cleanly");
             let boundary = match entry {
                 WalEntry::Commit { txn } | WalEntry::Decide { txn, .. } => Some(*txn),
-                WalEntry::Prepare { txn } => match resolver {
-                    Some(r) if r(*txn) => Some(*txn),
-                    _ => None,
-                },
                 _ => None,
             };
             if let Some(txn) = boundary {
@@ -668,13 +648,6 @@ mod tests {
         let batches = sub.poll(&fx.wal).unwrap();
         assert_eq!(batches.len(), 1, "prepare is not a boundary");
         assert!(batches[0].changes.is_empty());
-
-        // resolver says the coordinator committed: the prepared batch
-        // becomes consumable without waiting for the local Decide
-        let mut resolved = fx.subscriber();
-        let batches = resolved.poll_resolved(&fx.wal, |txn| txn == 7);
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[1].changes[0].op.name(), "insert");
 
         fx.wal.append(WalEntry::Decide {
             txn: 7,

@@ -53,9 +53,8 @@
 //! # Lock order
 //!
 //! The commit path takes one mutex, the WAL slot's, and its condvar is
-//! paired with that mutex. The commit-wait sketch and the obs handles
-//! keep their own mutexes, taken below the WAL mutex or after it is
-//! released. Nothing here touches a buffer-pool shard mutex or frame
+//! paired with that mutex. The obs handles keep their own mutex, taken
+//! below the WAL mutex or after it is released. Nothing here touches a buffer-pool shard mutex or frame
 //! latch — the log manager sits strictly *below* the pool in the
 //! `shard → wal → disk` hierarchy (see `bufmgr`'s module docs and
 //! DESIGN.md §10).
@@ -64,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use tpcc_obs::{CounterHandle, HistogramHandle, Label, Obs, QuantileSketch, TraceHandle};
+use tpcc_obs::{CounterHandle, HistogramHandle, Label, Obs, TraceHandle};
 
 use crate::wal::{Wal, WalEntry};
 
@@ -190,9 +189,6 @@ pub struct LogManager {
     commits_flushed: AtomicU64,
     cap_flushes: AtomicU64,
     entries_flushed: AtomicU64,
-    /// Cumulative commit-wait sketch (nanoseconds), mergeable into
-    /// window deltas by telemetry readers.
-    wait_ns: Mutex<QuantileSketch>,
     obs: Mutex<GcObs>,
 }
 
@@ -211,7 +207,6 @@ impl LogManager {
             commits_flushed: AtomicU64::new(0),
             cap_flushes: AtomicU64::new(0),
             entries_flushed: AtomicU64::new(0),
-            wait_ns: Mutex::new(QuantileSketch::default()),
             obs: Mutex::new(GcObs::default()),
         }
     }
@@ -287,7 +282,6 @@ impl LogManager {
         };
         drop(slot);
         let wait_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.wait_ns.lock().expect("gc wait sketch").record(wait_ns);
         self.obs.lock().expect("gc obs").commit_wait.record(wait_ns);
         CommitReceipt {
             ticket,
@@ -368,13 +362,6 @@ impl LogManager {
             cap_flushes: self.cap_flushes.load(Ordering::Relaxed),
             entries_flushed: self.entries_flushed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Clone of the cumulative commit-wait sketch (nanoseconds;
-    /// threaded mode only — inline commits never wait).
-    #[must_use]
-    pub fn commit_wait_sketch(&self) -> QuantileSketch {
-        self.wait_ns.lock().expect("gc wait sketch").clone()
     }
 }
 

@@ -20,6 +20,9 @@
 //! threaded multi-terminal run must batch more than one commit per
 //! flush while staying inside the model's utilization band.
 
+use std::sync::Arc;
+
+use tpcc_obs::{Label, MemoryRecorder, Obs};
 use tpcc_suite::cost::logdisk::LogDiskModel;
 use tpcc_suite::db::driver::DriverConfig;
 use tpcc_suite::db::{loader, DbConfig, Driver, GroupCommitConfig, ParallelDriver};
@@ -103,6 +106,8 @@ fn threaded_group_commit_batches_and_stays_on_the_section5_curve() {
     cfg.buffer_frames = 2048;
     cfg.group_commit = Some(gc);
     let mut db = loader::load(cfg, 61);
+    let recorder = Arc::new(MemoryRecorder::new());
+    db.set_obs(Obs::new(recorder.clone()));
     let report = ParallelDriver::new(DriverConfig::default(), 8, 62).run(&db, 4_000);
     db.flush_log();
 
@@ -115,7 +120,9 @@ fn threaded_group_commit_batches_and_stays_on_the_section5_curve() {
     // bounded commit wait: a ticket waits at most one full window plus
     // the device write plus scheduling slack (generous 20x headroom so
     // a loaded CI machine cannot flake this)
-    let waits = db.commit_wait_sketch().expect("group commit on");
+    let waits = recorder
+        .histogram("commit_wait_ns", Label::None)
+        .expect("group commit on");
     let bound_us = (gc.flush_window_us + gc.log_io_delay_us) as f64 * 20.0;
     let p95_us = waits.quantile(0.95) / 1e3;
     assert!(
