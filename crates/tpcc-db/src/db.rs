@@ -325,11 +325,10 @@ impl TpccDb {
     }
 
     /// Redo-log statistics, when logging is enabled: `(entries,
-    /// delta bytes, commits)`.
+    /// redo bytes, commits)` (see `WalEntry::redo_bytes`).
     #[must_use]
     pub fn wal_stats(&self) -> Option<(usize, u64, u64)> {
-        self.bm
-            .with_wal(|w| (w.len(), w.delta_bytes(), w.commits()))
+        self.bm.with_wal(|w| (w.len(), w.redo_bytes(), w.commits()))
     }
 
     /// Durable-prefix statistics, when logging is enabled:

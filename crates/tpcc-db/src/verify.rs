@@ -237,9 +237,9 @@ mod tests {
         let mut db = loader::load(cfg, 51);
         let mut driver = Driver::new(&db, DriverConfig::default(), 52);
         let _ = driver.run(&mut db, 1500);
-        let (entries, delta_bytes, commits) = db.wal_stats().expect("wal enabled");
+        let (entries, redo_bytes, commits) = db.wal_stats().expect("wal enabled");
         assert!(entries > 1000, "log has real volume: {entries} entries");
-        assert!(delta_bytes > 10_000);
+        assert!(redo_bytes > 10_000);
         assert!(commits > 500);
         assert!(
             db.crash_recovery_check(),

@@ -61,6 +61,7 @@
 
 use crate::bufmgr::{BufferManager, PageWriteGuard};
 use crate::disk::FileId;
+use crate::wal::WalEntry;
 use std::sync::RwLock;
 use tpcc_obs::{CounterHandle, Label, Obs};
 
@@ -180,7 +181,9 @@ impl BTree {
     ///
     /// Optimistic first: shared descent with an exclusive leaf latch.
     /// Only a full leaf (a real split) restarts into the pessimistic
-    /// exclusive-coupled descent.
+    /// exclusive-coupled descent. An insert that shifts entries is
+    /// logged as one [`WalEntry::LeafInsert`]; an append or an
+    /// overwrite changes few bytes and is logged as their delta.
     pub fn insert(&self, bm: &BufferManager, key: u64, value: u64) -> Option<u64> {
         {
             let (mut leaf, _) = self.leaf_exclusive(bm, key);
@@ -191,8 +194,18 @@ impl BTree {
                     return Some(old);
                 }
                 Err(i) => {
-                    if entry_count(&leaf) < self.leaf_cap {
+                    let n = entry_count(&leaf);
+                    if n < self.leaf_cap {
                         leaf_insert_at(&mut leaf, i, key, value);
+                        if i < n {
+                            leaf.log_as(WalEntry::LeafInsert {
+                                file: self.file,
+                                page: leaf.page(),
+                                slot: i as u16,
+                                key,
+                                val: value,
+                            });
+                        }
                         return None;
                     }
                 }
@@ -209,14 +222,24 @@ impl BTree {
     /// If the removal drops a non-root leaf below half occupancy the
     /// delete restarts into the pessimistic rebalancing descent, which
     /// merges or rebalances deficient nodes top-down and returns freed
-    /// pages to the buffer manager.
+    /// pages to the buffer manager. A removal that shifts entries is
+    /// logged as one [`WalEntry::LeafRemove`]; removing the last entry
+    /// changes only the count and is logged as its delta.
     pub fn delete(&self, bm: &BufferManager, key: u64) -> Option<u64> {
         let old = {
             let (mut leaf, is_root) = self.leaf_exclusive(bm, key);
             match leaf_search(&leaf, key) {
                 Ok(i) => {
                     let old = leaf_val(&leaf, i);
+                    let n = entry_count(&leaf);
                     leaf_remove_at(&mut leaf, i);
+                    if i + 1 < n {
+                        leaf.log_as(WalEntry::LeafRemove {
+                            file: self.file,
+                            page: leaf.page(),
+                            slot: i as u16,
+                        });
+                    }
                     if is_root || entry_count(&leaf) >= self.min_leaf {
                         return Some(old);
                     }
@@ -824,8 +847,9 @@ fn leaf_search(data: &[u8], key: u64) -> Result<usize, usize> {
     Err(lo)
 }
 
-/// Inserts `(key, value)` at position `i`, shifting later entries.
-fn leaf_insert_at(data: &mut [u8], i: usize, key: u64, value: u64) {
+/// Inserts `(key, value)` at position `i`, shifting later entries. The
+/// live tree and WAL redo of a [`WalEntry::LeafInsert`] both run this.
+pub(crate) fn leaf_insert_at(data: &mut [u8], i: usize, key: u64, value: u64) {
     let n = entry_count(data);
     let start = HEADER + i * 16;
     data.copy_within(start..HEADER + n * 16, start + 16);
@@ -834,12 +858,27 @@ fn leaf_insert_at(data: &mut [u8], i: usize, key: u64, value: u64) {
     set_entry_count(data, n + 1);
 }
 
-/// Removes the entry at position `i`, shifting later entries down.
-fn leaf_remove_at(data: &mut [u8], i: usize) {
+/// Removes the entry at position `i`, shifting later entries down. The
+/// live tree and WAL redo of a [`WalEntry::LeafRemove`] both run this.
+pub(crate) fn leaf_remove_at(data: &mut [u8], i: usize) {
     let n = entry_count(data);
     let start = HEADER + i * 16;
     data.copy_within(start + 16..HEADER + n * 16, start);
     set_entry_count(data, n - 1);
+}
+
+/// True when [`leaf_insert_at`]`(data, i, ..)` is well defined: `data`
+/// is a leaf with room for one more entry and `i <= n`.
+pub(crate) fn leaf_insert_fits(data: &[u8], i: usize) -> bool {
+    let n = entry_count(data);
+    is_leaf(data) && n < (data.len() - HEADER) / 16 && i <= n
+}
+
+/// True when [`leaf_remove_at`]`(data, i)` is well defined: `data` is a
+/// leaf whose entries fit the page and `i < n`.
+pub(crate) fn leaf_remove_fits(data: &[u8], i: usize) -> bool {
+    let n = entry_count(data);
+    is_leaf(data) && n <= (data.len() - HEADER) / 16 && i < n
 }
 
 fn internal_key(data: &[u8], i: usize) -> u64 {
@@ -1289,7 +1328,7 @@ mod tests {
         for d in 0..10 {
             order(&bm, &t, d, 60);
         }
-        let logged = |bm: &BufferManager| bm.with_wal(Wal::delta_bytes).expect("enabled");
+        let logged = |bm: &BufferManager| bm.with_wal(Wal::redo_bytes).expect("enabled");
         let (before, leaves_before) = (logged(&bm), leaf_chain(&bm, &t).0);
         let mut inserts = 0;
         for o in 61..141 {
@@ -1395,5 +1434,141 @@ mod tests {
             }
         }
         assert_eq!(t.len(&bm), 4 * PER as usize);
+    }
+
+    #[test]
+    fn leaf_records_redo_like_the_tree_and_like_byte_diffs() {
+        // the same leaf mutation redone three ways must agree byte for
+        // byte: the tree's live operation, replay of its logical
+        // record, and replay of its byte diff
+        use crate::wal::{apply_entry, page_deltas};
+        const CASES: usize = 12_000;
+        let mut rng = Xoshiro256::seed_from_u64(0x1EAF_0DD5);
+        let (mut inserts, mut removes, mut full, mut front) = (0, 0, 0, 0);
+        for case in 0..CASES {
+            let page_size = [256usize, 4096][case % 2];
+            let cap = (page_size - HEADER) / 16;
+            let mut pick = |hi: usize| rng.uniform_inclusive(0, hi as u64) as usize;
+            let n = match case % 4 {
+                0 => pick(2),       // near-empty
+                1 => cap - pick(1), // full or one short of it
+                _ => pick(cap),     // anything
+            };
+            // stale bytes past the live entries, as a shrunk leaf has
+            let mut before: Vec<u8> = (0..page_size).map(|_| pick(255) as u8).collect();
+            let mut keys: Vec<u64> = (0..n).map(|_| pick(usize::MAX >> 1) as u64).collect();
+            keys.sort_unstable();
+            let vals = (0..n).map(|_| pick(usize::MAX >> 1) as u64).collect();
+            encode(
+                &mut before,
+                &Node::Leaf {
+                    keys,
+                    vals,
+                    next: pick(1 << 20) as u32,
+                },
+            );
+            let insert = n == 0 || (n < cap && pick(1) == 0);
+            let last = if insert { n } else { n - 1 };
+            let slot = match pick(3) {
+                0 => 0,
+                1 => last,
+                _ => pick(last),
+            };
+            let (file, page) = (FileId(0), 0);
+            let mut live = before.clone();
+            let record = if insert {
+                let (key, val) = (pick(usize::MAX >> 1) as u64, pick(usize::MAX >> 1) as u64);
+                leaf_insert_at(&mut live, slot, key, val);
+                inserts += 1;
+                WalEntry::LeafInsert {
+                    file,
+                    page,
+                    slot: slot as u16,
+                    key,
+                    val,
+                }
+            } else {
+                leaf_remove_at(&mut live, slot);
+                removes += 1;
+                WalEntry::LeafRemove {
+                    file,
+                    page,
+                    slot: slot as u16,
+                }
+            };
+            full += usize::from(n == cap);
+            front += usize::from(slot == 0 && n > 1);
+
+            let replay = |entries: &[WalEntry]| {
+                let mut disk = DiskManager::new(page_size);
+                let f = disk.create_file();
+                disk.allocate_page(f);
+                disk.write_page(f, 0, &before);
+                let mut scratch = Vec::new();
+                for entry in entries {
+                    apply_entry(&mut disk, &mut scratch, entry).expect("record fits");
+                }
+                let mut out = vec![0u8; page_size];
+                disk.read_page(f, 0, &mut out);
+                out
+            };
+            assert_eq!(
+                replay(std::slice::from_ref(&record)),
+                live,
+                "case {case}: {record:?} over n = {n}"
+            );
+            let deltas: Vec<_> = page_deltas(&before, &live)
+                .into_iter()
+                .map(|(offset, data)| WalEntry::PageDelta {
+                    file,
+                    page,
+                    offset,
+                    data,
+                })
+                .collect();
+            assert_eq!(
+                replay(&deltas),
+                live,
+                "case {case}: byte diffs of {record:?}"
+            );
+        }
+        assert!(
+            inserts > CASES / 3 && removes > CASES / 3,
+            "{inserts} / {removes}"
+        );
+        assert!(
+            full > CASES / 10 && front > CASES / 10,
+            "{full} full, {front} front"
+        );
+    }
+
+    #[test]
+    fn shifting_leaf_mutations_log_one_record_and_recover() {
+        use std::collections::BTreeMap;
+        let disk = DiskManager::new(256);
+        let mut bm = BufferManager::new(disk, 64, Replacement::Lru);
+        bm.enable_wal();
+        let checkpoint = bm.disk_snapshot();
+        let t = BTree::create(&bm);
+        let mut oracle = BTreeMap::new();
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        for _ in 0..20_000 {
+            let k = rng.uniform_inclusive(0, 499);
+            if rng.uniform_inclusive(0, 1) == 0 {
+                assert_eq!(t.delete(&bm, k), oracle.remove(&k));
+            } else {
+                let v = rng.next_u64();
+                assert_eq!(t.insert(&bm, k, v), oracle.insert(k, v));
+            }
+        }
+        bm.log_commit(1);
+        bm.flush_all();
+        let wal = bm.take_wal().expect("enabled");
+        let count = |f: fn(&WalEntry) -> bool| wal.entries().iter().filter(|e| f(e)).count();
+        let inserts = count(|e| matches!(e, WalEntry::LeafInsert { .. }));
+        let removes = count(|e| matches!(e, WalEntry::LeafRemove { .. }));
+        assert!(inserts > 1_000 && removes > 1_000, "{inserts} / {removes}");
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
+        assert!(recovered.contents_equal(&bm.disk_snapshot()));
     }
 }

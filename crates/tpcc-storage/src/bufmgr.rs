@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockEr
 use crate::disk::{DiskManager, FileId};
 use crate::fault::{FaultHook, FaultPlan, FaultSite, SoftFault};
 use crate::logmgr::{GroupCommitConfig, LogManager};
-use crate::wal::{page_deltas, Wal, WalEntry};
+use crate::wal::{page_deltas, redo_leaf_record, Wal, WalEntry};
 use tpcc_buffer::fxhash::FxHashMap;
 use tpcc_obs::{CounterHandle, Label, Obs, TraceHandle};
 
@@ -667,8 +667,8 @@ impl BufferManager {
 
     /// Fixes `(file, page)` exclusive: pins the frame, takes its latch
     /// in write mode and marks the page dirty. With logging enabled the
-    /// byte-range delta of the mutation is appended to the WAL when the
-    /// guard drops.
+    /// byte-range delta of the mutation (or the record the guard was
+    /// marked with) is appended to the WAL when the guard drops.
     pub fn fix_exclusive(&self, file: FileId, page: u32) -> PageWriteGuard<'_> {
         let (idx, mut guard) = match self.fix(file, page) {
             Fixed::Loaded(idx, g) => (idx, g),
@@ -696,6 +696,7 @@ impl BufferManager {
             page,
             idx,
             before,
+            record: None,
             guard: Some(guard),
         }
     }
@@ -886,6 +887,19 @@ impl BufferManager {
             );
             hook.note_retry();
             std::hint::spin_loop();
+        }
+    }
+
+    /// Appends one page guard's redo records under a single WAL lock
+    /// hold, counting each record's [`WalEntry::redo_bytes`].
+    fn log_page_records(&self, records: impl IntoIterator<Item = WalEntry>) {
+        let mut wal = self.wal.lock().expect("wal lock");
+        for entry in records {
+            self.wal_bytes.add(entry.redo_bytes());
+            self.wal_records.add(1);
+            if let Some(wal) = wal.as_mut() {
+                wal.append(entry);
+            }
         }
     }
 
@@ -1082,13 +1096,19 @@ impl Drop for PageReadGuard<'_> {
 /// Dereferences to `&mut [u8]`. The page is marked dirty at fix time;
 /// with logging enabled the guard captured a before-image and appends
 /// the byte-range delta to the WAL on drop — while still holding the
-/// latch, so the delta is logged before the page can reach disk.
+/// latch, so the delta is logged before the page can reach disk. A
+/// B+Tree leaf insert or remove that shifts entries marks its guard
+/// with the one record that stands for it (`log_as`), which the guard
+/// appends instead of the delta.
 pub struct PageWriteGuard<'a> {
     bm: &'a BufferManager,
     file: FileId,
     page: u32,
     idx: usize,
     before: Option<Vec<u8>>,
+    /// The record that stands for this guard's whole mutation, logged
+    /// on drop in place of the byte diff.
+    record: Option<WalEntry>,
     guard: Option<RwLockWriteGuard<'a, FrameData>>,
 }
 
@@ -1097,6 +1117,16 @@ impl PageWriteGuard<'_> {
     #[must_use]
     pub fn page(&self) -> u32 {
         self.page
+    }
+
+    /// Marks `record` as this guard's whole mutation: on drop it is
+    /// logged instead of the byte diff. The caller must have made
+    /// exactly the change that redo of `record` makes to the
+    /// before-image (debug builds assert it). A no-op with logging off.
+    pub(crate) fn log_as(&mut self, record: WalEntry) {
+        if self.before.is_some() {
+            self.record = Some(record);
+        }
     }
 }
 
@@ -1128,20 +1158,27 @@ impl Drop for PageWriteGuard<'_> {
     fn drop(&mut self) {
         if let Some(before) = self.before.take() {
             let fd = self.guard.as_ref().expect("guard live");
-            let segments = page_deltas(&before, &fd.bytes);
-            if !segments.is_empty() {
-                let mut wal = self.bm.wal.lock().expect("wal lock");
-                for (offset, data) in segments {
-                    self.bm.wal_bytes.add(data.len() as u64);
-                    self.bm.wal_records.add(1);
-                    if let Some(wal) = wal.as_mut() {
-                        wal.append(WalEntry::PageDelta {
-                            file: self.file,
-                            page: self.page,
-                            offset,
-                            data,
-                        });
-                    }
+            if let Some(record) = self.record.take() {
+                debug_assert!(
+                    redo_reproduces(self.file, self.page, &before, &fd.bytes, &record),
+                    "{record:?} does not redo the mutation of {:?} page {}",
+                    self.file,
+                    self.page
+                );
+                self.bm.log_page_records([record]);
+            } else {
+                let segments = page_deltas(&before, &fd.bytes);
+                if !segments.is_empty() {
+                    let (file, page) = (self.file, self.page);
+                    self.bm
+                        .log_page_records(segments.into_iter().map(|(offset, data)| {
+                            WalEntry::PageDelta {
+                                file,
+                                page,
+                                offset,
+                                data,
+                            }
+                        }));
                 }
             }
             scratch_return(before);
@@ -1151,6 +1188,25 @@ impl Drop for PageWriteGuard<'_> {
             .pins
             .fetch_sub(1, Ordering::Release);
     }
+}
+
+/// True when `record` names `(file, page)` and its redo over `before`
+/// yields `after` — the check a guard marked with
+/// [`PageWriteGuard::log_as`] makes in debug builds.
+fn redo_reproduces(
+    file: FileId,
+    page: u32,
+    before: &[u8],
+    after: &[u8],
+    record: &WalEntry,
+) -> bool {
+    let names_page = matches!(
+        *record,
+        WalEntry::LeafInsert { file: f, page: p, .. } | WalEntry::LeafRemove { file: f, page: p, .. }
+            if (f, p) == (file, page)
+    );
+    let mut redo = before.to_vec();
+    names_page && redo_leaf_record(&mut redo, record).is_ok() && redo == after
 }
 
 #[cfg(test)]

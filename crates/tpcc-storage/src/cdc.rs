@@ -351,17 +351,26 @@ impl CdcSubscriber {
         let mut pending: BTreeMap<(FileId, u32), Vec<u8>> = BTreeMap::new();
         let page_size = self.shadow.page_size();
         for (i, entry) in entries.iter().enumerate().take(upto).skip(self.cursor) {
+            // every variant that mutates page bytes is named, so a new
+            // one cannot slip past the first-touch capture
             match entry {
-                WalEntry::PageDelta { file, page, .. } | WalEntry::FreePage { file, page }
-                    if self.watched.contains(file) =>
-                {
-                    pending.entry((*file, *page)).or_insert_with(|| {
-                        let mut buf = vec![0u8; page_size];
-                        self.shadow.read_page(*file, *page, &mut buf);
-                        buf
-                    });
+                WalEntry::PageDelta { file, page, .. }
+                | WalEntry::LeafInsert { file, page, .. }
+                | WalEntry::LeafRemove { file, page, .. }
+                | WalEntry::FreePage { file, page } => {
+                    if self.watched.contains(file) {
+                        pending.entry((*file, *page)).or_insert_with(|| {
+                            let mut buf = vec![0u8; page_size];
+                            self.shadow.read_page(*file, *page, &mut buf);
+                            buf
+                        });
+                    }
                 }
-                _ => {}
+                WalEntry::CreateFile { .. }
+                | WalEntry::AllocPage { .. }
+                | WalEntry::Commit { .. }
+                | WalEntry::Prepare { .. }
+                | WalEntry::Decide { .. } => {}
             }
             apply_entry(&mut self.shadow, &mut self.scratch, entry)
                 .expect("a durable committed prefix must replay cleanly");

@@ -2,11 +2,16 @@
 //!
 //! The paper assumes durability away ("we assume that there is a
 //! separate log disk"); the engine can actually provide it. The buffer
-//! manager, when logging is enabled, records a byte-range delta of
-//! every page mutation *before* the dirty page can reach disk — the WAL
-//! protocol — plus file-creation and page-allocation events. Recovery
-//! replays the log over a checkpoint snapshot of the disk and
-//! reconstructs the exact post-crash committed state.
+//! manager, when logging is enabled, records every page mutation
+//! *before* the dirty page can reach disk — the WAL protocol — plus
+//! file-creation and page-allocation events. A mutation is logged as
+//! the byte-range deltas of the page, except that a B+Tree leaf insert
+//! or remove that shifts entries is logged as one physiological record
+//! ([`WalEntry::LeafInsert`] / [`WalEntry::LeafRemove`]) naming the
+//! page and slot. Recovery replays the log in order over a checkpoint
+//! snapshot of the disk and reconstructs the exact post-crash committed
+//! state: a leaf record reruns the tree's own byte operation on the
+//! same page image it ran on live, so it need not be idempotent.
 //!
 //! Redo-only (no undo) is sound for this workload because every
 //! transaction is validate-then-apply: no transaction writes a page
@@ -16,6 +21,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::btree;
 use crate::disk::{DiskManager, FileId};
 use crate::fault::{FaultHook, FaultSite};
 
@@ -73,6 +79,17 @@ pub enum RecoveryError {
         /// The already-free page.
         page: u32,
     },
+    /// A `LeafInsert` / `LeafRemove` does not fit the page it names:
+    /// the page is not a B+Tree leaf, the slot is out of range, or an
+    /// insert targets a full leaf.
+    BadLeafRecord {
+        /// File containing the page.
+        file: FileId,
+        /// Page number.
+        page: u32,
+        /// The logged slot.
+        slot: u16,
+    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -112,6 +129,11 @@ impl fmt::Display for RecoveryError {
             Self::DoubleFree { file, page } => {
                 write!(f, "double free of page {page} in file {}", file.0)
             }
+            Self::BadLeafRecord { file, page, slot } => write!(
+                f,
+                "leaf record does not fit: file {} page {page} slot {slot}",
+                file.0
+            ),
         }
     }
 }
@@ -152,6 +174,32 @@ pub enum WalEntry {
         offset: u32,
         /// The new bytes.
         data: Vec<u8>,
+    },
+    /// `(key, val)` was inserted into a B+Tree leaf at `slot`, shifting
+    /// the entries from `slot` on up one place. Logged instead of the
+    /// shifted bytes; redo runs the same insert on the page image.
+    LeafInsert {
+        /// Index file containing the leaf.
+        file: FileId,
+        /// Leaf page number.
+        page: u32,
+        /// Entry position the new entry takes.
+        slot: u16,
+        /// The inserted key.
+        key: u64,
+        /// The inserted value.
+        val: u64,
+    },
+    /// The entry at `slot` of a B+Tree leaf was removed, shifting the
+    /// entries after it down one place. Logged instead of the shifted
+    /// bytes; redo runs the same removal on the page image.
+    LeafRemove {
+        /// Index file containing the leaf.
+        file: FileId,
+        /// Leaf page number.
+        page: u32,
+        /// Position of the removed entry.
+        slot: u16,
     },
     /// A transaction committed. Recovery replays the log only up to
     /// (and including) the **last** commit marker: anything after it
@@ -201,9 +249,50 @@ impl WalEntry {
                 WalEntry::CreateFile { .. } => 4,
                 WalEntry::AllocPage { .. } | WalEntry::FreePage { .. } => 8,
                 WalEntry::PageDelta { data, .. } => 12 + data.len(),
+                WalEntry::LeafInsert { .. } => 26,
+                WalEntry::LeafRemove { .. } => 10,
                 WalEntry::Commit { .. } | WalEntry::Prepare { .. } => 8,
                 WalEntry::Decide { .. } => 9,
             }
+    }
+
+    /// Bytes this record logs to redo a page mutation — the figure
+    /// [`Wal::redo_bytes`] and the buffer manager's
+    /// `wal_bytes_appended` counter sum. A `PageDelta` counts its
+    /// changed bytes; a leaf record counts its whole fixed payload
+    /// (file, page, slot, and key and value where present), so it is
+    /// charged its addressing that a delta's count leaves out. Records
+    /// that mutate no page bytes count 0.
+    #[must_use]
+    pub fn redo_bytes(&self) -> u64 {
+        match self {
+            WalEntry::PageDelta { data, .. } => data.len() as u64,
+            WalEntry::LeafInsert { .. } | WalEntry::LeafRemove { .. } => {
+                (self.encoded_len() - 8) as u64
+            }
+            WalEntry::CreateFile { .. }
+            | WalEntry::AllocPage { .. }
+            | WalEntry::FreePage { .. }
+            | WalEntry::Commit { .. }
+            | WalEntry::Prepare { .. }
+            | WalEntry::Decide { .. } => 0,
+        }
+    }
+
+    /// True for a record that commits a transaction: a `Commit`, or a
+    /// `Decide` that decided commit.
+    fn counts_as_commit(&self) -> bool {
+        match self {
+            WalEntry::Commit { .. } | WalEntry::Decide { commit: true, .. } => true,
+            WalEntry::Decide { commit: false, .. }
+            | WalEntry::CreateFile { .. }
+            | WalEntry::AllocPage { .. }
+            | WalEntry::FreePage { .. }
+            | WalEntry::PageDelta { .. }
+            | WalEntry::LeafInsert { .. }
+            | WalEntry::LeafRemove { .. }
+            | WalEntry::Prepare { .. } => false,
+        }
     }
 }
 
@@ -223,7 +312,7 @@ impl WalEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Wal {
     entries: Vec<WalEntry>,
-    delta_bytes: u64,
+    redo_bytes: u64,
     commit_count: u64,
     /// Deferred durability (group commit) on?
     deferred: bool,
@@ -293,13 +382,8 @@ impl Wal {
                 return; // the record never reached the durable log
             }
         }
-        match &entry {
-            WalEntry::PageDelta { data, .. } => self.delta_bytes += data.len() as u64,
-            WalEntry::Commit { .. } | WalEntry::Decide { commit: true, .. } => {
-                self.commit_count += 1;
-            }
-            _ => {}
-        }
+        self.redo_bytes += entry.redo_bytes();
+        self.commit_count += u64::from(entry.counts_as_commit());
         self.entries.push(entry);
         if self.deferred {
             return; // volatile tail: durable only after the next flush
@@ -368,10 +452,11 @@ impl Wal {
         self.entries.is_empty()
     }
 
-    /// Total payload bytes across all page deltas.
+    /// Total [`WalEntry::redo_bytes`] across the log: the changed bytes
+    /// of every page delta plus the fixed payload of every leaf record.
     #[must_use]
-    pub fn delta_bytes(&self) -> u64 {
-        self.delta_bytes
+    pub fn redo_bytes(&self) -> u64 {
+        self.redo_bytes
     }
 
     /// Commit markers logged (maintained counter — O(1), the
@@ -404,13 +489,8 @@ impl Wal {
             return;
         }
         for entry in &self.entries[keep..] {
-            match entry {
-                WalEntry::PageDelta { data, .. } => self.delta_bytes -= data.len() as u64,
-                WalEntry::Commit { .. } | WalEntry::Decide { commit: true, .. } => {
-                    self.commit_count -= 1;
-                }
-                _ => {}
-            }
+            self.redo_bytes -= entry.redo_bytes();
+            self.commit_count -= u64::from(entry.counts_as_commit());
         }
         self.entries.truncate(keep);
         if !self.deferred || self.durable_len > keep {
@@ -505,8 +585,9 @@ impl Wal {
     ///
     /// # Errors
     /// Returns a [`RecoveryError`] when an entry names an unknown file
-    /// or page, a delta overruns its page, an allocation lands on a
-    /// different page number than logged, or a free is a double free.
+    /// or page, a delta overruns its page, a leaf record does not fit
+    /// its page, an allocation lands on a different page number than
+    /// logged, or a free is a double free.
     pub fn try_recover(&self, checkpoint: DiskManager) -> Result<DiskManager, RecoveryError> {
         // no prepare resolves to commit, so the boundary is exactly
         // `committed_len()`: the last durable Commit/Decide
@@ -601,15 +682,7 @@ pub fn apply_entry(
             }
         }
         WalEntry::FreePage { file, page } => {
-            if file.0 >= checkpoint.file_count() {
-                return Err(RecoveryError::UnknownFile { file: *file });
-            }
-            if *page >= checkpoint.pages(*file) {
-                return Err(RecoveryError::UnknownPage {
-                    file: *file,
-                    page: *page,
-                });
-            }
+            check_page(checkpoint, *file, *page)?;
             if checkpoint.is_free(*file, *page) {
                 return Err(RecoveryError::DoubleFree {
                     file: *file,
@@ -624,15 +697,7 @@ pub fn apply_entry(
             offset,
             data,
         } => {
-            if file.0 >= checkpoint.file_count() {
-                return Err(RecoveryError::UnknownFile { file: *file });
-            }
-            if *page >= checkpoint.pages(*file) {
-                return Err(RecoveryError::UnknownPage {
-                    file: *file,
-                    page: *page,
-                });
-            }
+            check_page(checkpoint, *file, *page)?;
             let start = *offset as usize;
             if start + data.len() > page_size {
                 return Err(RecoveryError::DeltaOutOfBounds {
@@ -647,7 +712,55 @@ pub fn apply_entry(
             scratch[start..start + data.len()].copy_from_slice(data);
             checkpoint.write_page(*file, *page, scratch);
         }
+        WalEntry::LeafInsert { file, page, .. } | WalEntry::LeafRemove { file, page, .. } => {
+            check_page(checkpoint, *file, *page)?;
+            scratch.resize(page_size, 0);
+            checkpoint.read_page(*file, *page, scratch);
+            redo_leaf_record(scratch, entry)?;
+            checkpoint.write_page(*file, *page, scratch);
+        }
         WalEntry::Commit { .. } | WalEntry::Prepare { .. } | WalEntry::Decide { .. } => {}
+    }
+    Ok(())
+}
+
+/// `Ok` when the image has file `file` and page `page` within its
+/// extent.
+fn check_page(checkpoint: &DiskManager, file: FileId, page: u32) -> Result<(), RecoveryError> {
+    if file.0 >= checkpoint.file_count() {
+        return Err(RecoveryError::UnknownFile { file });
+    }
+    if page >= checkpoint.pages(file) {
+        return Err(RecoveryError::UnknownPage { file, page });
+    }
+    Ok(())
+}
+
+/// Runs a [`WalEntry::LeafInsert`] / [`WalEntry::LeafRemove`] on one
+/// page image with the B+Tree's own leaf operation, after checking
+/// that it fits: the page is a leaf, the slot is in range, and an
+/// insert has room. A record that does not fit leaves `image`
+/// untouched.
+///
+/// # Panics
+/// On any other kind of entry (callers dispatch only leaf records).
+pub(crate) fn redo_leaf_record(image: &mut [u8], entry: &WalEntry) -> Result<(), RecoveryError> {
+    match *entry {
+        WalEntry::LeafInsert { slot, key, val, .. }
+            if btree::leaf_insert_fits(image, usize::from(slot)) =>
+        {
+            btree::leaf_insert_at(image, usize::from(slot), key, val);
+        }
+        WalEntry::LeafRemove { slot, .. } if btree::leaf_remove_fits(image, usize::from(slot)) => {
+            btree::leaf_remove_at(image, usize::from(slot));
+        }
+        WalEntry::LeafInsert {
+            file, page, slot, ..
+        }
+        | WalEntry::LeafRemove { file, page, slot } => {
+            return Err(RecoveryError::BadLeafRecord { file, page, slot });
+        }
+        ref other => unreachable!("not a leaf record: {other:?}"),
     }
     Ok(())
 }
@@ -884,7 +997,7 @@ mod tests {
         recovered.read_page(f, p, &mut out);
         assert_eq!(out[5], 42);
         assert_eq!(wal.commits(), 1);
-        assert_eq!(wal.delta_bytes(), 1);
+        assert_eq!(wal.redo_bytes(), 1);
     }
 
     #[test]
@@ -1048,10 +1161,10 @@ mod tests {
             offset: 4,
             data: vec![4, 5],
         });
-        assert_eq!(wal.delta_bytes(), 5);
+        assert_eq!(wal.redo_bytes(), 5);
         wal.truncate(2);
         assert_eq!(wal.len(), 2);
-        assert_eq!(wal.delta_bytes(), 3, "accounting follows the truncation");
+        assert_eq!(wal.redo_bytes(), 3, "accounting follows the truncation");
         assert_eq!(wal.commits(), 1);
     }
 
@@ -1072,7 +1185,7 @@ mod tests {
         let mut wal = two_entry_log();
         wal.truncate(2); // keep == len: the boundary is legal
         assert_eq!(wal.len(), 2);
-        assert_eq!(wal.delta_bytes(), 3);
+        assert_eq!(wal.redo_bytes(), 3);
     }
 
     #[cfg(debug_assertions)]
@@ -1089,7 +1202,7 @@ mod tests {
         let mut wal = two_entry_log();
         wal.truncate(usize::MAX);
         assert_eq!(wal.len(), 2, "clamped to the full log");
-        assert_eq!(wal.delta_bytes(), 3, "accounting untouched");
+        assert_eq!(wal.redo_bytes(), 3, "accounting untouched");
     }
 
     #[test]
@@ -1460,5 +1573,245 @@ mod tests {
         assert_eq!(wal.records_within(57), 2, "torn inside the commit");
         assert_eq!(wal.records_within(58), 3);
         assert_eq!(wal.records_within(u64::MAX), 3);
+    }
+
+    /// A node image: `kind` byte, entry count `n`, no next leaf, and
+    /// `0xAB` filler for the entries and the unused tail.
+    fn node_image(page_size: usize, kind: u8, n: u16) -> Vec<u8> {
+        let mut image = vec![0xAB; page_size];
+        image[0] = kind;
+        image[1] = 0;
+        image[2..4].copy_from_slice(&n.to_le_bytes());
+        image[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        image
+    }
+
+    #[test]
+    fn apply_entry_rejects_leaf_records_that_do_not_fit() {
+        const PAGE: usize = 256; // 15 leaf entries
+        let mut disk = DiskManager::new(PAGE);
+        let f = disk.create_file();
+        let images = [
+            node_image(PAGE, 0, 3),  // page 0: a leaf with three entries
+            node_image(PAGE, 0, 15), // page 1: a full leaf
+            node_image(PAGE, 1, 3),  // page 2: an internal node
+        ];
+        for image in &images {
+            let p = disk.allocate_page(f);
+            disk.write_page(f, p, image);
+        }
+        let rejected = [
+            (
+                0,
+                WalEntry::LeafRemove {
+                    file: f,
+                    page: 0,
+                    slot: 3,
+                },
+            ),
+            (
+                0,
+                WalEntry::LeafInsert {
+                    file: f,
+                    page: 0,
+                    slot: 4,
+                    key: 1,
+                    val: 2,
+                },
+            ),
+            (
+                1,
+                WalEntry::LeafInsert {
+                    file: f,
+                    page: 1,
+                    slot: 0,
+                    key: 1,
+                    val: 2,
+                },
+            ),
+            (
+                2,
+                WalEntry::LeafInsert {
+                    file: f,
+                    page: 2,
+                    slot: 0,
+                    key: 1,
+                    val: 2,
+                },
+            ),
+            (
+                2,
+                WalEntry::LeafRemove {
+                    file: f,
+                    page: 2,
+                    slot: 0,
+                },
+            ),
+        ];
+        let mut scratch = Vec::new();
+        for (page, record) in &rejected {
+            let untouched = disk.snapshot();
+            let slot = match *record {
+                WalEntry::LeafInsert { slot, .. } | WalEntry::LeafRemove { slot, .. } => slot,
+                _ => unreachable!(),
+            };
+            assert_eq!(
+                apply_entry(&mut disk, &mut scratch, record),
+                Err(RecoveryError::BadLeafRecord {
+                    file: f,
+                    page: *page,
+                    slot
+                }),
+                "{record:?}"
+            );
+            assert!(disk.contents_equal(&untouched), "{record:?} left a mark");
+        }
+
+        // through recovery too, and the unknown file and page checks
+        let mut wal = Wal::new();
+        wal.append(rejected[2].1.clone());
+        wal.append(WalEntry::Commit { txn: 1 });
+        assert!(matches!(
+            wal.try_recover(disk.snapshot()),
+            Err(RecoveryError::BadLeafRecord {
+                page: 1,
+                slot: 0,
+                ..
+            })
+        ));
+        let far = WalEntry::LeafRemove {
+            file: f,
+            page: 9,
+            slot: 0,
+        };
+        assert_eq!(
+            apply_entry(&mut disk, &mut scratch, &far),
+            Err(RecoveryError::UnknownPage { file: f, page: 9 })
+        );
+        let nowhere = WalEntry::LeafRemove {
+            file: FileId(4),
+            page: 0,
+            slot: 0,
+        };
+        assert_eq!(
+            apply_entry(&mut disk, &mut scratch, &nowhere),
+            Err(RecoveryError::UnknownFile { file: FileId(4) })
+        );
+
+        // the records that do fit apply: the last slot of a leaf with
+        // room, and the last entry of a full one
+        let fits = [
+            WalEntry::LeafInsert {
+                file: f,
+                page: 0,
+                slot: 3,
+                key: 1,
+                val: 2,
+            },
+            WalEntry::LeafRemove {
+                file: f,
+                page: 1,
+                slot: 14,
+            },
+        ];
+        for record in &fits {
+            apply_entry(&mut disk, &mut scratch, record).expect("fits");
+        }
+        let mut out = vec![0u8; PAGE];
+        disk.read_page(f, 0, &mut out);
+        assert_eq!(u16::from_le_bytes([out[2], out[3]]), 4);
+        disk.read_page(f, 1, &mut out);
+        assert_eq!(u16::from_le_bytes([out[2], out[3]]), 14);
+    }
+
+    #[test]
+    fn framing_covers_every_variant_torn_at_every_byte() {
+        let f = FileId(0);
+        let log = [
+            (WalEntry::CreateFile { file: f }, 12, 0),
+            (WalEntry::AllocPage { file: f, page: 0 }, 16, 0),
+            (
+                WalEntry::PageDelta {
+                    file: f,
+                    page: 0,
+                    offset: 8,
+                    data: vec![1; 5],
+                },
+                25,
+                5,
+            ),
+            (
+                WalEntry::LeafInsert {
+                    file: f,
+                    page: 0,
+                    slot: 2,
+                    key: 7,
+                    val: 9,
+                },
+                34,
+                26,
+            ),
+            (
+                WalEntry::LeafRemove {
+                    file: f,
+                    page: 0,
+                    slot: 0,
+                },
+                18,
+                10,
+            ),
+            (WalEntry::Prepare { txn: 3 }, 16, 0),
+            (
+                WalEntry::Decide {
+                    txn: 3,
+                    commit: true,
+                },
+                17,
+                0,
+            ),
+            (WalEntry::FreePage { file: f, page: 0 }, 16, 0),
+            (WalEntry::Commit { txn: 4 }, 16, 0),
+        ];
+        let mut wal = Wal::new();
+        for (entry, encoded, redo) in &log {
+            assert_eq!(entry.encoded_len(), *encoded, "{entry:?}");
+            assert_eq!(entry.redo_bytes(), *redo, "{entry:?}");
+            wal.append(entry.clone());
+        }
+        let total: usize = log.iter().map(|(_, encoded, _)| encoded).sum();
+        assert_eq!(wal.encoded_bytes(), total as u64);
+        assert_eq!(wal.redo_bytes(), 41);
+        assert_eq!(wal.commits(), 2);
+        for torn in 0..=total as u64 + 1 {
+            // whole records only: every record ending at or before the tear
+            let mut end = 0u64;
+            let whole = log
+                .iter()
+                .take_while(|(_, encoded, _)| {
+                    end += *encoded as u64;
+                    end <= torn
+                })
+                .count();
+            assert_eq!(wal.records_within(torn), whole, "torn at byte {torn}");
+            let mut cut = wal.clone();
+            cut.truncate(whole);
+            let prefix = &log[..whole];
+            assert_eq!(
+                cut.redo_bytes(),
+                prefix.iter().map(|(_, _, redo)| redo).sum::<u64>(),
+                "torn at byte {torn}"
+            );
+            assert_eq!(
+                cut.commits(),
+                prefix
+                    .iter()
+                    .filter(|(e, _, _)| matches!(
+                        e,
+                        WalEntry::Commit { .. } | WalEntry::Decide { commit: true, .. }
+                    ))
+                    .count() as u64,
+                "torn at byte {torn}"
+            );
+        }
     }
 }
