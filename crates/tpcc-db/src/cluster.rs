@@ -59,6 +59,7 @@ use std::time::{Duration, Instant};
 use crate::db::{DbConfig, TpccDb};
 use crate::driver::DriverConfig;
 use crate::loader;
+use crate::records::Row;
 use crate::terminal::{even_seats, lock_manager, run_terminals, Placement, Tally};
 use crate::txns::{self, CustomerSelector, NewOrderAborted, OrderLineReq};
 use tpcc_lock::{LockManager, Ts};
@@ -514,18 +515,17 @@ impl Placement for Routed<'_> {
     }
 
     /// One remote row update inside a cross-node transaction: open the
-    /// node's participant record (and undo token) on first touch,
-    /// record the pre-image in the owning node's undo store (version
-    /// chain + compensation list), then write the live bytes.
-    fn remote_update(
+    /// node's participant record (and undo token) on first touch, then,
+    /// under one exclusive fix of the row, record its pre-image in the
+    /// owning node's undo store (version chain + compensation list) and
+    /// let `f` change it.
+    fn remote_update<T: Row, R>(
         &self,
         parts: &mut Vec<Participant>,
         node: usize,
-        rel: Relation,
         rid: RecordId,
-        before: Vec<u8>,
-        after: &[u8],
-    ) {
+        f: impl FnOnce(&mut T) -> R,
+    ) -> R {
         let db = self.db(node);
         let i = parts
             .iter()
@@ -540,13 +540,15 @@ impl Placement for Routed<'_> {
                 parts.len() - 1
             });
         let p = &mut parts[i];
-        let heap = db.heaps.for_relation(rel);
+        let heap = db.heaps.for_relation(T::REL);
         let key: VersionKey = (heap.file(), rid.to_u64());
-        db.undo.record(p.token, key, Some(&before));
-        p.keys.push(key);
-        let ok = heap.update(&db.bm, rid, after);
-        assert!(ok, "participant update of a live row must land");
-        p.ops.push((rel, rid, before));
+        heap.modify_with(&db.bm, rid, |row| {
+            let row = row.expect("participant update of a live row must land");
+            db.undo.record(p.token, key, Some(row));
+            p.keys.push(key);
+            p.ops.push((T::REL, rid, row.to_vec()));
+            T::recode(row, f)
+        })
     }
 
     /// Commits a cross-node transaction: one-phase when only the home

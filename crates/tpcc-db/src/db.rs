@@ -529,7 +529,7 @@ impl TpccDb {
     #[must_use]
     pub fn index_footprint(&self, relation: Relation) -> (u32, usize) {
         let tree = self.pk_tree(relation);
-        (tree.allocated_pages(&self.bm), tree.height(&self.bm))
+        (tree.allocated_pages(&self.bm), tree.height())
     }
 
     /// Live pages summed across every heap and index file.

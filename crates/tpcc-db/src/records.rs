@@ -618,6 +618,50 @@ impl HistoryRec {
     }
 }
 
+/// A record type kept in one relation's heap: what the database's row
+/// updates decode a latched row into and encode it back from.
+pub(crate) trait Row: Sized {
+    /// The relation whose heap holds these rows.
+    const REL: Relation;
+    /// Deserializes.
+    fn decode(buf: &[u8]) -> Self;
+    /// Serializes to exactly the relation's tuple length.
+    fn encode(&self) -> Vec<u8>;
+
+    /// Decodes `bytes`, lets `f` change the record, and encodes it back
+    /// in place; returns what `f` returns.
+    fn recode<R>(bytes: &mut [u8], f: impl FnOnce(&mut Self) -> R) -> R {
+        let mut row = Self::decode(bytes);
+        let out = f(&mut row);
+        bytes.copy_from_slice(&row.encode());
+        out
+    }
+}
+
+macro_rules! rows {
+    ($($rec:ty => $rel:ident),* $(,)?) => {$(
+        impl Row for $rec {
+            const REL: Relation = Relation::$rel;
+            fn decode(buf: &[u8]) -> Self {
+                <$rec>::decode(buf)
+            }
+            fn encode(&self) -> Vec<u8> {
+                <$rec>::encode(self)
+            }
+        }
+    )*};
+}
+
+rows! {
+    WarehouseRec => Warehouse,
+    DistrictRec => District,
+    CustomerRec => Customer,
+    StockRec => Stock,
+    ItemRec => Item,
+    OrderRec => Order,
+    OrderLineRec => OrderLine,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

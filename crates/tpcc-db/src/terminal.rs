@@ -56,10 +56,10 @@ use crate::cluster::MsgKind;
 use crate::db::TpccDb;
 use crate::driver::{DriverConfig, InputGen, TxnInput, TX_NAMES};
 use crate::keys;
+use crate::records::Row;
 use crate::txns;
 use tpcc_lock::{LockKey, LockManager, LockMode, Ts, Txn, Wounded};
 use tpcc_obs::{CounterHandle, HistogramHandle, Label, Obs, QuantileSketch, TraceHandle};
-use tpcc_schema::relation::Relation;
 use tpcc_storage::RecordId;
 
 /// Lock spaces, one per logically lockable relation. (Item records are
@@ -134,17 +134,16 @@ pub(crate) trait Placement: Sync {
     fn draw_ts(&self) -> Ts;
     /// Delivers one message to node `to`.
     fn msg(&self, to: usize, kind: MsgKind);
-    /// Updates a row on a node other than the transaction's home,
-    /// recording what commit or abort of `parts` needs.
-    fn remote_update(
+    /// Updates a row on a node other than the transaction's home, as
+    /// [`TpccDb::update_row`] does on the home node, recording what
+    /// commit or abort of `parts` needs; returns what `f` returns.
+    fn remote_update<T: Row, R>(
         &self,
         parts: &mut Self::Parts,
         node: usize,
-        rel: Relation,
         rid: RecordId,
-        before: Vec<u8>,
-        after: &[u8],
-    );
+        f: impl FnOnce(&mut T) -> R,
+    ) -> R;
     /// Commits the transaction homed on `home`; `false` when a 2PC
     /// vote or decide failed and everything was rolled back.
     fn commit(&self, home: usize, parts: Self::Parts) -> bool;
@@ -191,7 +190,13 @@ impl Placement for OneNode<'_> {
     fn msg(&self, _: usize, _: MsgKind) {
         unreachable!("one node sends no messages");
     }
-    fn remote_update(&self, (): &mut (), _: usize, _: Relation, _: RecordId, _: Vec<u8>, _: &[u8]) {
+    fn remote_update<T: Row, R>(
+        &self,
+        (): &mut (),
+        _: usize,
+        _: RecordId,
+        _: impl FnOnce(&mut T) -> R,
+    ) -> R {
         unreachable!("one node has no remote rows");
     }
     #[inline]

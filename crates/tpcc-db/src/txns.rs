@@ -6,8 +6,8 @@ use crate::db::TpccDb;
 use crate::keys;
 use crate::mvcc::TreeId;
 use crate::records::{
-    CustomerRec, DistrictRec, HistoryRec, ItemRec, NewOrderRec, OrderLineRec, OrderRec, StockRec,
-    WarehouseRec,
+    CustomerRec, DistrictRec, HistoryRec, ItemRec, NewOrderRec, OrderLineRec, OrderRec, Row,
+    StockRec, WarehouseRec,
 };
 use crate::terminal::{OneNode, Placement};
 use tpcc_schema::relation::Relation;
@@ -140,19 +140,17 @@ pub(crate) fn new_order<P: Placement>(
     let mut parts = P::Parts::default();
 
     // 1. warehouse tax
-    let (_, warehouse) = h.select(Relation::Warehouse, keys::warehouse(lw));
-    let warehouse = WarehouseRec::decode(&warehouse);
+    let warehouse: WarehouseRec = h.select(keys::warehouse(lw));
 
-    // 2-3. district: read then bump next_o_id
-    let (d_rid, district) = h.select(Relation::District, keys::district(lw, d));
-    let mut district = DistrictRec::decode(&district);
-    let o_id = u64::from(district.next_o_id);
-    district.next_o_id += 1;
-    h.heap_update(Relation::District, d_rid, &district.encode());
+    // 2-3. district: read and bump next_o_id under one fix
+    let d_rid = h.rid_of(Relation::District, keys::district(lw, d));
+    let (o_id, district_tax) = h.update_row(d_rid, |district: &mut DistrictRec| {
+        district.next_o_id += 1;
+        (u64::from(district.next_o_id - 1), district.tax)
+    });
 
     // 4. customer discount
-    let (_, customer) = h.select(Relation::Customer, keys::customer(lw, d, c));
-    let customer = CustomerRec::decode(&customer);
+    let customer: CustomerRec = h.select(keys::customer(lw, d, c));
 
     // 5-6. order + new-order rows, under the home node's local keys
     let entry_d = h.tick();
@@ -166,7 +164,10 @@ pub(crate) fn new_order<P: Placement>(
         all_local: u8::from(all_local),
     };
     let o_heap_rid = h.heap_insert(Relation::Order, &order.encode());
-    h.index_insert(TreeId::Order, keys::order(lw, d, o_id), o_heap_rid.to_u64());
+    h.index_insert(
+        TreeId::Order,
+        &[(keys::order(lw, d, o_id), o_heap_rid.to_u64())],
+    );
     h.last_order_upsert(keys::last_order(lw, d, c), o_id);
     let no = NewOrderRec {
         o_id: o_id as u32,
@@ -174,10 +175,15 @@ pub(crate) fn new_order<P: Placement>(
         w_id: lw as u16,
     };
     let no_rid = h.heap_insert(Relation::NewOrder, &no.encode());
-    h.index_insert(TreeId::NewOrder, keys::order(lw, d, o_id), no_rid.to_u64());
+    h.index_insert(
+        TreeId::NewOrder,
+        &[(keys::order(lw, d, o_id), no_rid.to_u64())],
+    );
 
-    // 7. per item: item read, stock read+update, order-line insert
+    // 7. per item: item read, stock read+update, order-line insert;
+    // the order-line index entries ascend and go in as one run last
     let mut line_amounts = Vec::with_capacity(lines.len());
+    let mut ol_entries = Vec::with_capacity(lines.len());
     for (number, line) in lines.iter().enumerate() {
         if line.item >= h.cfg.items {
             // clause 2.4.1.4: discovered at the item read, after this
@@ -190,8 +196,7 @@ pub(crate) fn new_order<P: Placement>(
         if own != hn {
             p.msg(own, MsgKind::ItemRead);
         }
-        let (_, item) = p.db(own).select(Relation::Item, keys::item(line.item));
-        let item = ItemRec::decode(&item);
+        let item: ItemRec = p.db(own).select(keys::item(line.item));
 
         let (sn, ls) = p.locate(line.supply_warehouse);
         let sdb = p.db(sn);
@@ -199,33 +204,28 @@ pub(crate) fn new_order<P: Placement>(
         if sn != hn {
             p.msg(sn, MsgKind::StockRead);
         }
-        let (s_rid, before) = sdb.select(Relation::Stock, keys::stock(ls, line.item));
-        let mut stock = StockRec::decode(&before);
-        // clause 2.4.2.2: restock when the level would fall below 10
-        if stock.quantity >= i32::from(line.quantity) + 10 {
-            stock.quantity -= i32::from(line.quantity);
-        } else {
-            stock.quantity += 91 - i32::from(line.quantity);
-        }
-        stock.ytd += u64::from(line.quantity);
-        stock.order_cnt += 1;
-        if line.supply_warehouse != w {
-            stock.remote_cnt += 1;
-        }
-        let dist_info = stock.dist_info[d as usize].clone();
-        if sn == hn {
-            h.heap_update(Relation::Stock, s_rid, &stock.encode());
+        // stock read + update under one fix
+        let s_rid = sdb.rid_of(Relation::Stock, keys::stock(ls, line.item));
+        let take = |stock: &mut StockRec| {
+            // clause 2.4.2.2: restock when the level would fall below 10
+            if stock.quantity >= i32::from(line.quantity) + 10 {
+                stock.quantity -= i32::from(line.quantity);
+            } else {
+                stock.quantity += 91 - i32::from(line.quantity);
+            }
+            stock.ytd += u64::from(line.quantity);
+            stock.order_cnt += 1;
+            if line.supply_warehouse != w {
+                stock.remote_cnt += 1;
+            }
+            stock.dist_info[d as usize].clone()
+        };
+        let dist_info = if sn == hn {
+            h.update_row(s_rid, take)
         } else {
             p.msg(sn, MsgKind::StockWrite);
-            p.remote_update(
-                &mut parts,
-                sn,
-                Relation::Stock,
-                s_rid,
-                before,
-                &stock.encode(),
-            );
-        }
+            p.remote_update(&mut parts, sn, s_rid, take)
+        };
 
         let amount = f64::from(line.quantity) * item.price;
         line_amounts.push(amount);
@@ -242,14 +242,14 @@ pub(crate) fn new_order<P: Placement>(
             dist_info,
         };
         let ol_rid = h.heap_insert(Relation::OrderLine, &ol.encode());
-        h.index_insert(
-            TreeId::OrderLine,
+        ol_entries.push((
             keys::order_line(lw, d, o_id, number as u64),
             ol_rid.to_u64(),
-        );
+        ));
     }
+    h.index_insert(TreeId::OrderLine, &ol_entries);
     let subtotal: f64 = line_amounts.iter().sum();
-    let total_amount = subtotal * (1.0 - customer.discount) * (1.0 + warehouse.tax + district.tax);
+    let total_amount = subtotal * (1.0 - customer.discount) * (1.0 + warehouse.tax + district_tax);
     Ok(p.commit(hn, parts).then_some(NewOrderResult {
         o_id,
         total_amount,
@@ -278,24 +278,25 @@ pub(crate) fn payment<P: Placement>(
     h.begin_write();
     let mut parts = P::Parts::default();
 
-    let (w_rid, warehouse) = h.select(Relation::Warehouse, keys::warehouse(lw));
-    let mut warehouse = WarehouseRec::decode(&warehouse);
-    let (d_rid, district) = h.select(Relation::District, keys::district(lw, d));
-    let mut district = DistrictRec::decode(&district);
+    // warehouse and district ytd: each read and updated under one fix
+    let w_rid = h.rid_of(Relation::Warehouse, keys::warehouse(lw));
+    h.update_row(w_rid, |warehouse: &mut WarehouseRec| {
+        warehouse.ytd += amount
+    });
+    let d_rid = h.rid_of(Relation::District, keys::district(lw, d));
+    h.update_row(d_rid, |district: &mut DistrictRec| district.ytd += amount);
 
     let (cn, lcw) = p.locate(cw);
     let cdb = p.db(cn);
-    let (c_rid, mut customer, rows_matched) = cdb.resolve_customer_at(lcw, cd, selector, None);
-
-    warehouse.ytd += amount;
-    h.heap_update(Relation::Warehouse, w_rid, &warehouse.encode());
-    district.ytd += amount;
-    h.heap_update(Relation::District, d_rid, &district.encode());
-    customer.balance -= amount;
-    customer.ytd_payment += amount;
-    customer.payment_cnt += 1;
-    if cn == hn {
-        h.heap_update(Relation::Customer, c_rid, &customer.encode());
+    let (c_rid, customer, rows_matched) = cdb.resolve_customer_at(lcw, cd, selector, None);
+    let charge = |customer: &mut CustomerRec| {
+        customer.balance -= amount;
+        customer.ytd_payment += amount;
+        customer.payment_cnt += 1;
+        customer.balance
+    };
+    let balance = if cn == hn {
+        h.update_row(c_rid, charge)
     } else {
         // the selection touched `rows_matched` remote rows (~3 by
         // name), each a message, plus one write-back — the model's
@@ -303,17 +304,9 @@ pub(crate) fn payment<P: Placement>(
         for _ in 0..rows_matched {
             p.msg(cn, MsgKind::CustomerRead);
         }
-        let before = cdb.heaps.customer.get(&cdb.bm, c_rid).expect("live");
         p.msg(cn, MsgKind::CustomerWrite);
-        p.remote_update(
-            &mut parts,
-            cn,
-            Relation::Customer,
-            c_rid,
-            before,
-            &customer.encode(),
-        );
-    }
+        p.remote_update(&mut parts, cn, c_rid, charge)
+    };
 
     let date = h.tick();
     let history = HistoryRec {
@@ -329,24 +322,31 @@ pub(crate) fn payment<P: Placement>(
     h.heap_insert(Relation::History, &history.encode());
     p.commit(hn, parts).then_some(PaymentResult {
         c_id: u64::from(customer.c_id),
-        balance: customer.balance,
+        balance,
         rows_matched,
     })
 }
 
 impl TpccDb {
-    /// One indexed unique select (§2.2's `select`): the live row's rid
-    /// and bytes.
+    /// The rid a unique index select (§2.2's `select`) finds for `key`.
     ///
     /// # Panics
     /// Panics when no row has the key (ids are scale-checked first).
     #[inline]
-    fn select(&self, rel: Relation, key: u64) -> (RecordId, Vec<u8>) {
-        let rid = self
-            .pk_lookup(rel, key)
-            .unwrap_or_else(|| panic!("no {rel:?} row under key {key}"));
-        let row = self.heaps.for_relation(rel).get(&self.bm, rid);
-        (rid, row.expect("indexed row is live"))
+    fn rid_of(&self, rel: Relation, key: u64) -> RecordId {
+        self.pk_lookup(rel, key)
+            .unwrap_or_else(|| panic!("no {rel:?} row under key {key}"))
+    }
+
+    /// One indexed unique select, decoded from the latched row.
+    #[inline]
+    fn select<T: Row>(&self, key: u64) -> T {
+        let rid = self.rid_of(T::REL, key);
+        self.heaps
+            .for_relation(T::REL)
+            .read_with(&self.bm, rid, |row| {
+                T::decode(row.expect("indexed row is live"))
+            })
     }
 
     fn read_customer_at(&self, rid: RecordId, snap: Option<&Snapshot>) -> CustomerRec {
@@ -533,17 +533,12 @@ impl TpccDb {
             rids.push(RecordId::from_u64(v));
             true
         });
-        let lines = rids
-            .into_iter()
-            .map(|rid| {
-                let ol = OrderLineRec::decode(
-                    &self
-                        .read_row_at(Relation::OrderLine, rid, snap)
-                        .expect("live"),
-                );
-                (u64::from(ol.i_id), ol.quantity, ol.amount, ol.delivery_d)
-            })
-            .collect();
+        // the lines, read by page run
+        let mut lines = Vec::with_capacity(rids.len());
+        self.read_rows_at(Relation::OrderLine, &rids, snap, |row| {
+            let ol = OrderLineRec::decode(row);
+            lines.push((u64::from(ol.i_id), ol.quantity, ol.amount, ol.delivery_d));
+        });
         OrderStatusResult {
             c_id: c,
             o_id: Some(o_id),
@@ -607,36 +602,36 @@ impl TpccDb {
             .new_order
             .delete(&self.bm, RecordId::from_u64(no_val));
 
-        // order: read + set carrier
-        let (o_rid, order) = self.select(Relation::Order, keys::order(w, d, o_id));
-        let mut order = OrderRec::decode(&order);
-        order.carrier_id = carrier_id;
-        self.heap_update(Relation::Order, o_rid, &order.encode());
+        // order: read + set carrier under one fix
+        let o_rid = self.rid_of(Relation::Order, keys::order(w, d, o_id));
+        let (c_id, ol_cnt) = self.update_row(o_rid, |order: &mut OrderRec| {
+            order.carrier_id = carrier_id;
+            (order.c_id, order.ol_cnt)
+        });
 
-        // order lines: read + stamp delivery date, sum amounts
+        // order lines: read + stamp delivery date, sum amounts — one fix
+        // per page run
         let date = self.tick();
         let (lo, hi) = keys::order_line_range(w, d, o_id);
-        let mut rids = Vec::with_capacity(usize::from(order.ol_cnt));
+        let mut rids = Vec::with_capacity(usize::from(ol_cnt));
         self.idx.order_line.scan_range(&self.bm, lo, hi, |_, v| {
             rids.push(RecordId::from_u64(v));
             true
         });
         let mut total = 0.0;
-        for rid in rids {
-            let mut ol =
-                OrderLineRec::decode(&self.heaps.order_line.get(&self.bm, rid).expect("live"));
-            ol.delivery_d = date;
-            total += ol.amount;
-            self.heap_update(Relation::OrderLine, rid, &ol.encode());
-        }
+        self.update_rows(Relation::OrderLine, &rids, |row| {
+            total += OrderLineRec::recode(row, |ol| {
+                ol.delivery_d = date;
+                ol.amount
+            });
+        });
 
         // customer: credit the balance
-        let c_key = keys::customer(w, d, u64::from(order.c_id));
-        let (c_rid, customer) = self.select(Relation::Customer, c_key);
-        let mut customer = CustomerRec::decode(&customer);
-        customer.balance += total;
-        customer.delivery_cnt += 1;
-        self.heap_update(Relation::Customer, c_rid, &customer.encode());
+        let c_rid = self.rid_of(Relation::Customer, keys::customer(w, d, u64::from(c_id)));
+        self.update_row(c_rid, |customer: &mut CustomerRec| {
+            customer.balance += total;
+            customer.delivery_cnt += 1;
+        });
 
         Some(o_id)
     }
@@ -684,7 +679,8 @@ impl TpccDb {
         let next = u64::from(district.next_o_id);
         let from = next.saturating_sub(20);
 
-        // join: range-scan the order lines, indexed-select each stock row
+        // join: range-scan the order lines and read them by page run,
+        // then probe STOCK once per distinct item, in key order
         let (lo, _) = keys::order_line_range(w, d, from);
         let (hi, _) = keys::order_line_range(w, d, next);
         let mut ol_rids = Vec::new();
@@ -692,29 +688,23 @@ impl TpccDb {
             ol_rids.push(RecordId::from_u64(v));
             true
         });
-        let mut low = std::collections::BTreeSet::new();
-        let lines_scanned = ol_rids.len() as u64;
-        for rid in ol_rids {
-            let ol = OrderLineRec::decode(
-                &self
-                    .read_row_at(Relation::OrderLine, rid, snap)
-                    .expect("live"),
-            );
-            let s_rid = self
-                .pk_lookup(Relation::Stock, keys::stock(w, u64::from(ol.i_id)))
-                .expect("stock exists");
-            let stock = StockRec::decode(
-                &self
-                    .read_row_at(Relation::Stock, s_rid, snap)
-                    .expect("live"),
-            );
-            if stock.quantity < threshold {
-                low.insert(ol.i_id);
-            }
-        }
+        let mut stock_keys = Vec::with_capacity(ol_rids.len());
+        self.read_rows_at(Relation::OrderLine, &ol_rids, snap, |row| {
+            stock_keys.push(keys::stock(w, u64::from(OrderLineRec::decode(row).i_id)));
+        });
+        stock_keys.sort_unstable();
+        stock_keys.dedup();
+        let mut s_rids = Vec::with_capacity(stock_keys.len());
+        self.idx.stock.get_sorted(&self.bm, &stock_keys, |_, v| {
+            s_rids.push(RecordId::from_u64(v.expect("stock exists")));
+        });
+        let mut low_stock = 0;
+        self.read_rows_at(Relation::Stock, &s_rids, snap, |row| {
+            low_stock += u64::from(StockRec::decode(row).quantity < threshold);
+        });
         StockLevelResult {
-            low_stock: low.len() as u64,
-            lines_scanned,
+            low_stock,
+            lines_scanned: ol_rids.len() as u64,
         }
     }
 }

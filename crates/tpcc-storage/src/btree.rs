@@ -32,12 +32,21 @@
 //! * **Reads** (`get`, `scan_range`) descend with shared coupling —
 //!   latch the child, then release the parent — and scans crab
 //!   left-to-right along the leaf chain.
-//! * **`delete`** and the common-case `insert` descend shared and take
-//!   only the *leaf* exclusively. The parent stays share-latched while
-//!   the leaf latch is upgraded, so the leaf cannot be split or merged
-//!   between the shared and exclusive fix (both require the parent
+//! * **`get_sorted`** keeps its whole descent path share-latched
+//!   between ascending keys and re-descends only below the deepest held
+//!   node whose key range still covers the next key, so its latches are
+//!   taken top-down and, along each level, left to right, as a scan's.
+//! * **`delete`** and the common-case `insert` descend shared and fix
+//!   only the *leaf* exclusively, once: the tree height (read under the
+//!   structure latch) says which level holds the leaves, so the descent
+//!   write-latches the leaf straight from its share-latched parent. The
+//!   parent stays share-latched until the leaf latch lands, so the leaf
+//!   cannot be split or merged in between (both require the parent
 //!   latched exclusively). A delete that leaves the leaf at least half
 //!   full ends here.
+//! * **`insert_sorted`** holds the leaf-level parent share-latched for a
+//!   whole ascending run — the invariant `insert` relies on for one
+//!   entry — and write-latches one leaf per entry below it.
 //! * **`insert` into a full leaf** restarts as a *pessimistic* descent
 //!   with exclusive coupling that splits any full node top-down while
 //!   holding only parent + child (at most three page latches with the
@@ -53,16 +62,20 @@
 //!   structure latch, shrinking the tree.
 //!
 //! The `root` field is the **structure latch**: a `RwLock` around the
-//! root page number. Every descent acquires it shared just long enough
-//! to latch the root page; only a root split takes it exclusively (and
-//! acquires it *before* any page latch, preserving the
-//! structure-before-page order that keeps the hierarchy acyclic). See
-//! DESIGN.md §8 for the deadlock-freedom argument.
+//! root page number and the tree height. Every descent acquires it
+//! shared just long enough to latch the root page; only a root split or
+//! a root collapse takes it exclusively (and acquires it *before* any
+//! page latch, preserving the structure-before-page order that keeps
+//! the hierarchy acyclic). A node's level above the leaves never
+//! changes while it is latched — a root split adds a level on top and a
+//! collapse removes the top one — so the height read with the root page
+//! stays right for the whole descent. See DESIGN.md §8 for the
+//! deadlock-freedom argument.
 
-use crate::bufmgr::{BufferManager, PageWriteGuard};
+use crate::bufmgr::{BufferManager, PageReadGuard, PageWriteGuard};
 use crate::disk::FileId;
 use crate::wal::WalEntry;
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard};
 use tpcc_obs::{CounterHandle, Label, Obs};
 
 const HEADER: usize = 8;
@@ -74,10 +87,11 @@ const NO_LEAF: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct BTree {
     file: FileId,
-    /// Structure latch: guards the root page *number*. Shared by every
-    /// descent until the root page itself is latched; exclusive only
-    /// while a root split swaps the pointer.
-    root: RwLock<u32>,
+    /// Structure latch: guards the root page *number* and the tree
+    /// height. Shared by every descent until the root page itself is
+    /// latched; exclusive only while a root split or collapse changes
+    /// them.
+    root: RwLock<Root>,
     leaf_cap: usize,
     internal_cap: usize,
     /// Underflow threshold: a non-root leaf with fewer entries is
@@ -95,6 +109,45 @@ pub struct BTree {
     restarts: CounterHandle,
     merges: CounterHandle,
     borrows: CounterHandle,
+}
+
+/// What the structure latch guards.
+#[derive(Debug, Clone, Copy)]
+struct Root {
+    page: u32,
+    /// Levels, 1 = a lone leaf root.
+    height: usize,
+}
+
+/// An optimistic insert found its leaf full: a split is needed.
+struct LeafFull;
+
+/// Where a descent reaches the leaf level: a leaf root under the
+/// read-held structure latch, or the share-latched parent of the leaves
+/// with the exclusive upper bound of its key range (`None`: unbounded).
+/// Either way the leaves below cannot split or merge while it is held,
+/// and a share-latched node's key range cannot change.
+enum LeafParent<'t, 'b> {
+    Root(RwLockReadGuard<'t, Root>),
+    Node(PageReadGuard<'b>, Option<u64>),
+}
+
+impl LeafParent<'_, '_> {
+    /// The page of the leaf that holds `key` (`key` must be covered).
+    fn leaf_page(&self, key: u64) -> u32 {
+        match self {
+            LeafParent::Root(root) => root.page,
+            LeafParent::Node(parent, _) => internal_lookup(parent, key).1,
+        }
+    }
+
+    /// True when `key` lies in this parent's key range.
+    fn covers(&self, key: u64) -> bool {
+        match self {
+            LeafParent::Root(_) => true,
+            LeafParent::Node(_, hi) => hi.is_none_or(|hi| key < hi),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -133,7 +186,10 @@ impl BTree {
         });
         Self {
             file,
-            root: RwLock::new(root),
+            root: RwLock::new(Root {
+                page: root,
+                height: 1,
+            }),
             leaf_cap,
             internal_cap,
             min_leaf: leaf_cap / 2,
@@ -166,7 +222,7 @@ impl BTree {
     /// Looks up a key (shared latch coupling down the tree).
     pub fn get(&self, bm: &BufferManager, key: u64) -> Option<u64> {
         let root = self.root.read().expect("root latch");
-        let mut guard = bm.fix_shared(self.file, *root);
+        let mut guard = bm.fix_shared(self.file, root.page);
         drop(root);
         self.visits.add(1);
         while !is_leaf(&guard) {
@@ -187,33 +243,40 @@ impl BTree {
     pub fn insert(&self, bm: &BufferManager, key: u64, value: u64) -> Option<u64> {
         {
             let (mut leaf, _) = self.leaf_exclusive(bm, key);
-            match leaf_search(&leaf, key) {
-                Ok(i) => {
-                    let old = leaf_val(&leaf, i);
-                    leaf_set_val(&mut leaf, i, value);
-                    return Some(old);
-                }
-                Err(i) => {
-                    let n = entry_count(&leaf);
-                    if n < self.leaf_cap {
-                        leaf_insert_at(&mut leaf, i, key, value);
-                        if i < n {
-                            leaf.log_as(WalEntry::LeafInsert {
-                                file: self.file,
-                                page: leaf.page(),
-                                slot: i as u16,
-                                key,
-                                val: value,
-                            });
-                        }
-                        return None;
-                    }
-                }
+            if let Ok(old) = self.insert_in_leaf(&mut leaf, key, value) {
+                return old;
             }
             // full leaf: a split is needed — release every latch first
         }
         self.restarts.add(1);
         self.insert_pessimistic(bm, key, value)
+    }
+
+    /// Inserts or overwrites ascending `entries`, exactly as one
+    /// [`BTree::insert`] per entry would — the same pages, the same log
+    /// records — and returns each entry's previous value.
+    ///
+    /// The run holds its leaf-level parent share-latched (for a leaf
+    /// root, the structure latch) while the next key stays inside the
+    /// parent's key range, so each such entry costs one exclusive leaf
+    /// fix instead of a descent. An entry whose leaf is full releases
+    /// every latch and takes `insert`'s pessimistic path; the rest of
+    /// the run then descends afresh.
+    pub fn insert_sorted(&self, bm: &BufferManager, entries: &[(u64, u64)]) -> Vec<Option<u64>> {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 <= w[1].0),
+            "insert_sorted needs ascending keys"
+        );
+        let mut prev = Vec::with_capacity(entries.len());
+        while prev.len() < entries.len() {
+            if !self.insert_run(bm, &entries[prev.len()..], &mut prev) {
+                // the next entry's leaf is full: split like `insert`
+                let (key, value) = entries[prev.len()];
+                self.restarts.add(1);
+                prev.push(self.insert_pessimistic(bm, key, value));
+            }
+        }
+        prev
     }
 
     /// Removes a key; returns its value if it was present.
@@ -269,7 +332,7 @@ impl BTree {
         mut visit: impl FnMut(u64, u64) -> bool,
     ) {
         let root = self.root.read().expect("root latch");
-        let mut guard = bm.fix_shared(self.file, *root);
+        let mut guard = bm.fix_shared(self.file, root.page);
         drop(root);
         self.visits.add(1);
         // descend to the leaf that would hold `lo`
@@ -300,6 +363,63 @@ impl BTree {
         }
     }
 
+    /// Looks up ascending `keys` and passes each key with its value
+    /// (`None` when absent) to `visit`, in order — what one
+    /// [`BTree::get`] per key returns, for fewer fixes.
+    ///
+    /// The descent path stays share-latched between keys. The next key
+    /// re-descends only below the deepest held node whose key range
+    /// still covers it, so latches are taken top-down and, along each
+    /// level, left to right, as a scan's are, and a run of keys in one
+    /// leaf costs that leaf one fix. The visitor runs with the path
+    /// latched: it must not fix pages.
+    pub fn get_sorted(
+        &self,
+        bm: &BufferManager,
+        keys: &[u64],
+        mut visit: impl FnMut(u64, Option<u64>),
+    ) {
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] <= w[1]),
+            "get_sorted needs ascending keys"
+        );
+        if keys.is_empty() {
+            return;
+        }
+        // each held node with the exclusive upper bound of its key
+        // range (`None`: unbounded); the root covers every key
+        let mut path: Vec<(PageReadGuard<'_>, Option<u64>)> = Vec::new();
+        {
+            let root = self.root.read().expect("root latch");
+            path.reserve(root.height);
+            path.push((bm.fix_shared(self.file, root.page), None));
+            self.visits.add(1);
+        }
+        for &key in keys {
+            while path
+                .last()
+                .is_some_and(|(_, hi)| hi.is_some_and(|hi| key >= hi))
+            {
+                path.pop();
+            }
+            loop {
+                let (node, hi) = path.last().expect("the root covers every key");
+                if is_leaf(node) {
+                    visit(key, leaf_search(node, key).ok().map(|i| leaf_val(node, i)));
+                    break;
+                }
+                let (i, child) = internal_lookup(node, key);
+                let child_hi = if i < entry_count(node) {
+                    Some(internal_key(node, i))
+                } else {
+                    *hi
+                };
+                path.push((bm.fix_shared(self.file, child), child_hi));
+                self.visits.add(1);
+            }
+        }
+    }
+
     /// The smallest `(key, value)` with `key >= lo` (e.g. the oldest
     /// pending order of a district when keys are `(w, d, order-no)`).
     pub fn min_at_or_after(&self, bm: &BufferManager, lo: u64) -> Option<(u64, u64)> {
@@ -326,19 +446,10 @@ impl BTree {
         self.min_at_or_after(bm, 0).is_none()
     }
 
-    /// Tree height in levels (1 = a lone leaf root), following the
-    /// leftmost spine with shared coupling.
-    pub fn height(&self, bm: &BufferManager) -> usize {
-        let root = self.root.read().expect("root latch");
-        let mut guard = bm.fix_shared(self.file, *root);
-        drop(root);
-        let mut h = 1;
-        while !is_leaf(&guard) {
-            let child = internal_child_at(&guard, 0);
-            guard = bm.fix_shared(self.file, child);
-            h += 1;
-        }
-        h
+    /// Tree height in levels (1 = a lone leaf root), as the structure
+    /// latch records it; fixes no page.
+    pub fn height(&self) -> usize {
+        self.root.read().expect("root latch").height
     }
 
     /// Live pages of the index file: allocated minus freed-by-merges.
@@ -348,35 +459,108 @@ impl BTree {
         bm.allocated_pages(self.file)
     }
 
-    /// Descends with shared coupling and returns the target leaf
-    /// write-latched, plus whether that leaf is the root. The parent
-    /// (or, for a leaf root, the structure latch) stays share-held
-    /// across the leaf's shared→exclusive re-fix: a split or merge of
-    /// that leaf would need the parent exclusively (or the structure
-    /// latch exclusively), so the leaf located by the descent is still
-    /// the right one when the write latch lands.
-    fn leaf_exclusive<'b>(&self, bm: &'b BufferManager, key: u64) -> (PageWriteGuard<'b>, bool) {
+    /// Descends with shared coupling to the leaf level for `key`. The
+    /// height read with the root page says which level holds the
+    /// leaves, so a caller fixes its leaf once, exclusively, while the
+    /// returned parent (or, for a leaf root, the structure latch) is
+    /// still share-held: a split or merge of that leaf would need the
+    /// parent exclusively (or the structure latch exclusively), so the
+    /// leaf located by the descent is still the right one when the
+    /// write latch lands.
+    fn leaf_parent<'b>(&self, bm: &'b BufferManager, key: u64) -> LeafParent<'_, 'b> {
         let root = self.root.read().expect("root latch");
-        let root_page = *root;
-        let first = bm.fix_shared(self.file, root_page);
-        self.visits.add(1);
-        if is_leaf(&first) {
-            drop(first);
-            // root lock still read-held
-            return (bm.fix_exclusive(self.file, root_page), true);
+        if root.height == 1 {
+            return LeafParent::Root(root);
         }
+        let mut parent = bm.fix_shared(self.file, root.page);
+        self.visits.add(1);
+        let mut level = root.height - 1; // of `parent`; leaves are level 0
         drop(root);
-        let mut parent = first;
-        loop {
-            let (_, child_page) = internal_lookup(&parent, key);
-            let child = bm.fix_shared(self.file, child_page);
-            self.visits.add(1);
-            if is_leaf(&child) {
-                drop(child);
-                // parent still read-held
-                return (bm.fix_exclusive(self.file, child_page), false);
+        let mut hi = None;
+        while level > 1 {
+            let (i, child) = internal_lookup(&parent, key);
+            if i < entry_count(&parent) {
+                hi = Some(internal_key(&parent, i));
             }
-            parent = child;
+            parent = bm.fix_shared(self.file, child); // crab
+            self.visits.add(1);
+            level -= 1;
+        }
+        LeafParent::Node(parent, hi)
+    }
+
+    /// The target leaf of `key`, write-latched, plus whether that leaf
+    /// is the root (see [`BTree::leaf_parent`]).
+    fn leaf_exclusive<'b>(&self, bm: &'b BufferManager, key: u64) -> (PageWriteGuard<'b>, bool) {
+        let parent = self.leaf_parent(bm, key);
+        let leaf = bm.fix_exclusive(self.file, parent.leaf_page(key));
+        self.visits.add(1);
+        debug_assert!(is_leaf(&leaf), "level 0 holds the leaves");
+        (leaf, matches!(parent, LeafParent::Root(_)))
+    }
+
+    /// One run of [`BTree::insert_sorted`]: descends for the first
+    /// entry to the leaf level, keeps the leaf-level parent
+    /// share-latched, and inserts entries under it (one exclusive leaf
+    /// fix each) until a key leaves the parent's key range or the run
+    /// ends — `true` — or an entry's leaf is full — `false`, with that
+    /// entry not done. Pushes each done entry's previous value onto
+    /// `prev`.
+    fn insert_run(
+        &self,
+        bm: &BufferManager,
+        run: &[(u64, u64)],
+        prev: &mut Vec<Option<u64>>,
+    ) -> bool {
+        let parent = self.leaf_parent(bm, run[0].0);
+        for &(key, value) in run {
+            if !parent.covers(key) {
+                return true;
+            }
+            let mut leaf = bm.fix_exclusive(self.file, parent.leaf_page(key));
+            self.visits.add(1);
+            let Ok(old) = self.insert_in_leaf(&mut leaf, key, value) else {
+                return false;
+            };
+            prev.push(old);
+        }
+        true
+    }
+
+    /// The optimistic half of an insert, on the write-latched target
+    /// leaf: overwrite a present key, or insert when the leaf has room.
+    /// An insert that shifts entries is logged as one
+    /// [`WalEntry::LeafInsert`]. Changes nothing when the leaf is full.
+    fn insert_in_leaf(
+        &self,
+        leaf: &mut PageWriteGuard<'_>,
+        key: u64,
+        value: u64,
+    ) -> Result<Option<u64>, LeafFull> {
+        debug_assert!(is_leaf(leaf), "level 0 holds the leaves");
+        match leaf_search(leaf, key) {
+            Ok(i) => {
+                let old = leaf_val(leaf, i);
+                leaf_set_val(leaf, i, value);
+                Ok(Some(old))
+            }
+            Err(i) => {
+                let n = entry_count(leaf);
+                if n >= self.leaf_cap {
+                    return Err(LeafFull);
+                }
+                leaf_insert_at(leaf, i, key, value);
+                if i < n {
+                    leaf.log_as(WalEntry::LeafInsert {
+                        file: self.file,
+                        page: leaf.page(),
+                        slot: i as u16,
+                        key,
+                        val: value,
+                    });
+                }
+                Ok(None)
+            }
         }
     }
 
@@ -387,7 +571,7 @@ impl BTree {
     /// + one freshly allocated sibling are latched at any moment.
     fn insert_pessimistic(&self, bm: &BufferManager, key: u64, value: u64) -> Option<u64> {
         let mut root_lock = self.root.write().expect("root latch");
-        let mut node = bm.fix_exclusive(self.file, *root_lock);
+        let mut node = bm.fix_exclusive(self.file, root_lock.page);
         self.visits.add(1);
         if self.node_full(&node) {
             // grow the tree while holding the structure latch exclusively
@@ -402,7 +586,8 @@ impl BTree {
                 },
             );
             drop(root_guard);
-            *root_lock = new_root;
+            root_lock.page = new_root;
+            root_lock.height += 1;
             node = if key >= sep {
                 drop(left);
                 right
@@ -469,7 +654,7 @@ impl BTree {
     /// descent is past every root-changing case.
     fn rebalance(&self, bm: &BufferManager, key: u64) {
         let mut root_lock = self.root.write().expect("root latch");
-        let mut node = bm.fix_exclusive(self.file, *root_lock);
+        let mut node = bm.fix_exclusive(self.file, root_lock.page);
         self.visits.add(1);
         let mut node = loop {
             if is_leaf(&node) {
@@ -480,7 +665,8 @@ impl BTree {
                 // single-child internal root: the child takes over
                 let child = internal_child_at(&node, 0);
                 bm.free_fixed(node);
-                *root_lock = child;
+                root_lock.page = child;
+                root_lock.height -= 1;
                 node = bm.fix_exclusive(self.file, child);
                 self.visits.add(1);
                 continue;
@@ -499,7 +685,8 @@ impl BTree {
             if entry_count(&node) == 0 {
                 let merged = child.page();
                 bm.free_fixed(node);
-                *root_lock = merged;
+                root_lock.page = merged;
+                root_lock.height -= 1;
                 node = child;
                 continue; // the new root may itself need collapsing
             }
@@ -1006,6 +1193,20 @@ mod tests {
         (bm, tree)
     }
 
+    /// The stored height, checked against a walk down the leftmost
+    /// spine.
+    fn checked_height(bm: &BufferManager, t: &BTree) -> usize {
+        let mut guard = bm.fix_shared(t.file, t.root.read().expect("root latch").page);
+        let mut walked = 1;
+        while !is_leaf(&guard) {
+            let child = internal_child_at(&guard, 0);
+            guard = bm.fix_shared(t.file, child);
+            walked += 1;
+        }
+        assert_eq!(t.height(), walked, "stored height vs the leftmost spine");
+        walked
+    }
+
     #[test]
     fn insert_get_small() {
         let (bm, t) = setup(256, 16);
@@ -1162,6 +1363,9 @@ mod tests {
             if round >= 10_000 && round % 2_000 == 0 {
                 plateau.push(t.allocated_pages(&bm));
             }
+            if round % 1_000 == 0 {
+                checked_height(&bm, &t);
+            }
         }
         let (lo, hi) = (
             *plateau.iter().min().expect("samples"),
@@ -1173,7 +1377,7 @@ mod tests {
         );
         // 30 live entries fit in a handful of 15-entry leaves + spine
         assert!(hi <= 8, "steady-state footprint too large: {hi} pages");
-        assert!(t.height(&bm) <= 3);
+        assert!(checked_height(&bm, &t) <= 3);
         assert_eq!(t.len(&bm), (tail - head) as usize);
     }
 
@@ -1183,15 +1387,25 @@ mod tests {
         let n = 3000u64;
         for k in 0..n {
             t.insert(&bm, k, k);
+            if k % 100 == 0 {
+                checked_height(&bm, &t);
+            }
         }
         let grown = t.allocated_pages(&bm);
         assert!(grown > 100, "tree grew: {grown} pages");
-        assert!(t.height(&bm) >= 3);
+        assert!(checked_height(&bm, &t) >= 3);
         for k in 0..n {
             assert_eq!(t.delete(&bm, k), Some(k), "key {k}");
+            if k % 100 == 0 {
+                checked_height(&bm, &t);
+            }
         }
         assert!(t.is_empty(&bm));
-        assert_eq!(t.height(&bm), 1, "root collapsed back to a lone leaf");
+        assert_eq!(
+            checked_height(&bm, &t),
+            1,
+            "root collapsed back to a lone leaf"
+        );
         assert!(
             t.allocated_pages(&bm) <= 2,
             "pages returned: {} still allocated",
@@ -1201,6 +1415,7 @@ mod tests {
         for k in 0..200u64 {
             t.insert(&bm, k, !k);
         }
+        checked_height(&bm, &t);
         for k in 0..200u64 {
             assert_eq!(t.get(&bm, k), Some(!k));
         }
@@ -1215,7 +1430,7 @@ mod tests {
         let (bm, t) = setup(256, 64);
         let mut oracle = BTreeMap::new();
         let mut rng = Xoshiro256::seed_from_u64(7);
-        for _ in 0..30_000 {
+        for round in 0..30_000 {
             let k = rng.uniform_inclusive(0, 999);
             if rng.uniform_inclusive(0, 99) < 55 {
                 // delete-heavy mix drives occupancy down into the
@@ -1225,7 +1440,11 @@ mod tests {
                 let v = rng.next_u64();
                 assert_eq!(t.insert(&bm, k, v), oracle.insert(k, v), "insert {k}");
             }
+            if round % 500 == 0 {
+                checked_height(&bm, &t);
+            }
         }
+        checked_height(&bm, &t);
         let mut actual = Vec::new();
         t.scan_range(&bm, 0, u64::MAX, |k, v| {
             actual.push((k, v));
@@ -1265,7 +1484,7 @@ mod tests {
 
     /// `(leaves, entries)` counted along the leaf chain.
     fn leaf_chain(bm: &BufferManager, t: &BTree) -> (usize, usize) {
-        let mut guard = bm.fix_shared(t.file, *t.root.read().expect("root latch"));
+        let mut guard = bm.fix_shared(t.file, t.root.read().expect("root latch").page);
         while !is_leaf(&guard) {
             let child = internal_child_at(&guard, 0);
             guard = bm.fix_shared(t.file, child);
@@ -1298,7 +1517,7 @@ mod tests {
         );
         // 393 full leaves or the 785 half-full ones of a middle split:
         // one root over either
-        assert_eq!(t.height(&bm), 3);
+        assert_eq!(checked_height(&bm, &t), 3);
         assert_eq!(t.get(&bm, 54_321), Some(54_321));
     }
 
@@ -1570,5 +1789,97 @@ mod tests {
         assert!(inserts > 1_000 && removes > 1_000, "{inserts} / {removes}");
         let recovered = wal.try_recover(checkpoint).expect("log applies");
         assert!(recovered.contents_equal(&bm.disk_snapshot()));
+    }
+
+    /// A tree with WAL logging on, loaded with `preload` keys.
+    fn logged_tree(page_size: usize, preload: &[u64]) -> (BufferManager, BTree) {
+        let disk = DiskManager::new(page_size);
+        let mut bm = BufferManager::new(disk, 256, Replacement::Lru);
+        bm.enable_wal();
+        let t = BTree::create(&bm);
+        for &k in preload {
+            t.insert(&bm, k, !k);
+        }
+        (bm, t)
+    }
+
+    #[test]
+    fn insert_sorted_matches_per_key_inserts_page_for_page_and_record_for_record() {
+        // one tree takes each ascending batch through `insert_sorted`,
+        // its twin one `insert` per entry: the returned previous values,
+        // every page image and every WAL entry must agree
+        const CASES: usize = 300;
+        let mut rng = Xoshiro256::seed_from_u64(0x5027_ED01);
+        let (mut overwrites, mut split_batches, mut batches) = (0, 0, 0);
+        for case in 0..CASES {
+            let page_size = [256usize, 4096][case % 2];
+            let mut pick = |hi: u64| rng.uniform_inclusive(0, hi);
+            let span = [300, 20_000, 1 << 40][case % 3];
+            let preload: Vec<u64> = (0..pick(3_000)).map(|_| pick(span)).collect();
+            let (bm_a, a) = logged_tree(page_size, &preload);
+            let (bm_b, b) = logged_tree(page_size, &preload);
+            for _ in 0..8 {
+                // dense ascending runs fill leaves mid-run; sparse ones
+                // spread over many parents; the small span overwrites
+                let len = pick(if page_size == 256 { 40 } else { 400 }) as usize;
+                let start = pick(span);
+                let step = [1, 3, span / 50 + 1][pick(2) as usize];
+                let mut entries: Vec<(u64, u64)> = (0..len as u64)
+                    .map(|i| (start + i * step + pick(step / 2), pick(u64::MAX)))
+                    .collect();
+                entries.sort_unstable_by_key(|e| e.0);
+                let leaves_before = leaf_chain(&bm_a, &a).0;
+                let got = a.insert_sorted(&bm_a, &entries);
+                let want: Vec<_> = entries
+                    .iter()
+                    .map(|&(k, v)| b.insert(&bm_b, k, v))
+                    .collect();
+                assert_eq!(got, want, "case {case}: previous values");
+                overwrites += want.iter().filter(|p| p.is_some()).count();
+                split_batches += usize::from(leaf_chain(&bm_a, &a).0 > leaves_before);
+                batches += 1;
+            }
+            assert_eq!(a.height(), b.height(), "case {case}");
+            let wal = |bm: &BufferManager| bm.with_wal(|w| w.entries().to_vec()).expect("on");
+            assert!(wal(&bm_a) == wal(&bm_b), "case {case}: WAL entries differ");
+            bm_a.flush_all();
+            bm_b.flush_all();
+            assert!(
+                bm_a.with_disk(|da| bm_b.with_disk(|db| da.contents_equal(db))),
+                "case {case}: page images differ"
+            );
+        }
+        assert!(overwrites > 1_000, "{overwrites} overwrites");
+        assert!(
+            split_batches > batches / 5,
+            "{split_batches} of {batches} batches split a leaf"
+        );
+    }
+
+    #[test]
+    fn get_sorted_matches_per_key_gets() {
+        let mut rng = Xoshiro256::seed_from_u64(0x6E75_0A7E);
+        for page_size in [256usize, 4096] {
+            for n in [0u64, 1, 40, 5_000, 60_000] {
+                let (bm, t) = setup(page_size, 512);
+                for _ in 0..n {
+                    let k = rng.uniform_inclusive(0, 1 << 20);
+                    t.insert(&bm, k, k.rotate_left(17));
+                }
+                for _ in 0..40 {
+                    // ascending, with duplicates, absent keys and keys
+                    // past the last leaf
+                    let len = rng.uniform_inclusive(0, 300) as usize;
+                    let hi = [1u64 << 10, 1 << 20, 1 << 22][rng.uniform_inclusive(0, 2) as usize];
+                    let mut keys: Vec<u64> =
+                        (0..len).map(|_| rng.uniform_inclusive(0, hi)).collect();
+                    keys.sort_unstable();
+                    let mut seen = Vec::with_capacity(keys.len());
+                    t.get_sorted(&bm, &keys, |k, v| seen.push((k, v)));
+                    let want: Vec<_> = keys.iter().map(|&k| (k, t.get(&bm, k))).collect();
+                    assert_eq!(seen, want, "page {page_size}, {n} keys loaded");
+                }
+            }
+        }
     }
 }

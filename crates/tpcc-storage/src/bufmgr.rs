@@ -892,6 +892,24 @@ impl BufferManager {
 
     /// Appends one page guard's redo records under a single WAL lock
     /// hold, counting each record's [`WalEntry::redo_bytes`].
+    /// Appends one [`WalEntry::PageDelta`] per `(offset, data)` segment
+    /// of `(file, page)`; nothing for no segments.
+    fn log_deltas(&self, file: FileId, page: u32, segments: Vec<(u32, Vec<u8>)>) {
+        if segments.is_empty() {
+            return;
+        }
+        self.log_page_records(
+            segments
+                .into_iter()
+                .map(|(offset, data)| WalEntry::PageDelta {
+                    file,
+                    page,
+                    offset,
+                    data,
+                }),
+        );
+    }
+
     fn log_page_records(&self, records: impl IntoIterator<Item = WalEntry>) {
         let mut wal = self.wal.lock().expect("wal lock");
         for entry in records {
@@ -1128,6 +1146,25 @@ impl PageWriteGuard<'_> {
             self.record = Some(record);
         }
     }
+
+    /// Logs the mutation made so far as its byte-range deltas now, as
+    /// dropping the guard here would, and takes the current image as the
+    /// new before-image: later changes log as deltas of their own. A
+    /// heap page run logs each row's update this way, exactly as one
+    /// fix per row would. A no-op with logging off.
+    pub(crate) fn log_delta(&mut self) {
+        debug_assert!(self.record.is_none(), "a marked guard logs its record");
+        let Some(before) = self.before.as_mut() else {
+            return;
+        };
+        let after = &self.guard.as_ref().expect("guard live").bytes;
+        let segments = page_deltas(before, after);
+        for (offset, data) in &segments {
+            let at = *offset as usize;
+            before[at..at + data.len()].copy_from_slice(data);
+        }
+        self.bm.log_deltas(self.file, self.page, segments);
+    }
 }
 
 impl Deref for PageWriteGuard<'_> {
@@ -1167,19 +1204,8 @@ impl Drop for PageWriteGuard<'_> {
                 );
                 self.bm.log_page_records([record]);
             } else {
-                let segments = page_deltas(&before, &fd.bytes);
-                if !segments.is_empty() {
-                    let (file, page) = (self.file, self.page);
-                    self.bm
-                        .log_page_records(segments.into_iter().map(|(offset, data)| {
-                            WalEntry::PageDelta {
-                                file,
-                                page,
-                                offset,
-                                data,
-                            }
-                        }));
-                }
+                self.bm
+                    .log_deltas(self.file, self.page, page_deltas(&before, &fd.bytes));
             }
             scratch_return(before);
         }

@@ -169,6 +169,56 @@ impl HeapFile {
         bm.with_page(self.file, rid.page, |data| f(read_slot(data, rid.slot)))
     }
 
+    /// Reads the records at `rids` in order, passing each rid and its
+    /// bytes (`None` for a dead record) to `f`. Consecutive rids on one
+    /// page share a single shared fix.
+    pub fn read_each(
+        &self,
+        bm: &BufferManager,
+        rids: &[RecordId],
+        mut f: impl FnMut(RecordId, Option<&[u8]>),
+    ) {
+        for run in rids.chunk_by(|a, b| a.page == b.page) {
+            let data = bm.fix_shared(self.file, run[0].page);
+            for &rid in run {
+                f(rid, read_slot(&data, rid.slot));
+            }
+        }
+    }
+
+    /// Modifies the record at `rid` in place: `f` gets its bytes
+    /// (`None` for a dead record) and must keep their length.
+    pub fn modify_with<R>(
+        &self,
+        bm: &BufferManager,
+        rid: RecordId,
+        f: impl FnOnce(Option<&mut [u8]>) -> R,
+    ) -> R {
+        bm.with_page_mut(self.file, rid.page, |data| {
+            f(slot_range(data, rid.slot).map(|r| &mut data[r]))
+        })
+    }
+
+    /// [`HeapFile::modify_with`] over `rids`, in order: consecutive rids
+    /// on one page share a single exclusive fix, and each record's
+    /// change is logged as its own deltas, exactly as one fix per
+    /// record would log it.
+    pub fn modify_each(
+        &self,
+        bm: &BufferManager,
+        rids: &[RecordId],
+        mut f: impl FnMut(RecordId, Option<&mut [u8]>),
+    ) {
+        for run in rids.chunk_by(|a, b| a.page == b.page) {
+            let mut guard = bm.fix_exclusive(self.file, run[0].page);
+            for &rid in run {
+                let range = slot_range(&guard, rid.slot);
+                f(rid, range.map(|r| &mut guard[r]));
+                guard.log_delta();
+            }
+        }
+    }
+
     /// Updates a record in place (same length); `false` if dead.
     pub fn update(&self, bm: &BufferManager, rid: RecordId, record: &[u8]) -> bool {
         bm.with_page_mut(self.file, rid.page, |data| {
@@ -229,6 +279,12 @@ impl HeapFile {
 
 /// Reads one slot from an immutable page image.
 fn read_slot(data: &[u8], slot: u16) -> Option<&[u8]> {
+    slot_range(data, slot).map(|r| &data[r])
+}
+
+/// The byte range of a live slot's record; `None` when the slot is
+/// dead or past the directory.
+fn slot_range(data: &[u8], slot: u16) -> Option<std::ops::Range<usize>> {
     let n = u16::from_le_bytes([data[0], data[1]]) as usize;
     let i = slot as usize;
     if i >= n {
@@ -240,7 +296,7 @@ fn read_slot(data: &[u8], slot: u16) -> Option<&[u8]> {
     if off == u16::MAX {
         return None;
     }
-    Some(&data[off as usize..off as usize + len as usize])
+    Some(off as usize..off as usize + len as usize)
 }
 
 #[cfg(test)]
@@ -454,5 +510,81 @@ mod tests {
                 assert_eq!(heap.get(&bm, *rid).expect("live"), vec![expect; 24]);
             }
         }
+    }
+
+    #[test]
+    fn page_runs_match_per_record_access_and_fix_each_run_once() {
+        use tpcc_rand::Xoshiro256;
+        // twin logged heaps: one takes rid lists through `read_each` /
+        // `modify_each`, the other one `get` / `update` per rid
+        let twin = || {
+            let mut bm = BufferManager::new(DiskManager::new(256), 64, Replacement::Lru);
+            bm.enable_wal();
+            let heap = HeapFile::create(&bm);
+            let rids: Vec<RecordId> = (0..120u8).map(|i| heap.insert(&bm, &[i; 30])).collect();
+            for rid in rids.iter().step_by(7) {
+                heap.delete(&bm, *rid);
+            }
+            (bm, heap, rids)
+        };
+        let (bm_a, a, rids) = twin();
+        let (bm_b, b, _) = twin();
+        assert!(a.pages(&bm_a) > 10);
+        let mut rng = Xoshiro256::seed_from_u64(3);
+        let mut runs_seen = 0;
+        for round in 0..200 {
+            // runs of neighbouring rids crossing page boundaries, dead
+            // slots and repeats included, in no global order
+            let mut list = Vec::new();
+            while list.len() < 24 {
+                let at = rng.uniform_inclusive(0, rids.len() as u64 - 1) as usize;
+                let len = rng.uniform_inclusive(1, 12) as usize;
+                list.extend(rids[at..rids.len().min(at + len)].iter().copied());
+            }
+            let runs = list.chunk_by(|x, y| x.page == y.page).count();
+            runs_seen += runs;
+
+            bm_a.reset_stats();
+            let mut read = Vec::new();
+            a.read_each(&bm_a, &list, |rid, row| {
+                read.push((rid, row.map(<[u8]>::to_vec)))
+            });
+            let want: Vec<_> = list.iter().map(|&rid| (rid, b.get(&bm_b, rid))).collect();
+            assert_eq!(read, want, "round {round}: read_each");
+            let fixes = bm_a.stats(a.file());
+            assert_eq!(
+                fixes.hits + fixes.misses,
+                runs as u64,
+                "one fix per page run"
+            );
+
+            let salt = round as u8;
+            a.modify_each(&bm_a, &list, |rid, row| {
+                if let Some(row) = row {
+                    row[usize::from(rid.slot) % 30] ^= salt | 1;
+                    row[29] = salt;
+                }
+            });
+            for &rid in &list {
+                if let Some(mut row) = b.get(&bm_b, rid) {
+                    row[usize::from(rid.slot) % 30] ^= salt | 1;
+                    row[29] = salt;
+                    assert!(b.update(&bm_b, rid, &row));
+                }
+            }
+        }
+        assert!(runs_seen > 1_000, "{runs_seen} page runs");
+        let wal = |bm: &BufferManager| bm.with_wal(|w| w.entries().to_vec()).expect("on");
+        assert!(
+            wal(&bm_a) == wal(&bm_b),
+            "modify_each logs what update logs"
+        );
+        bm_a.flush_all();
+        bm_b.flush_all();
+        assert!(bm_a.with_disk(|da| bm_b.with_disk(|db| da.contents_equal(db))));
+        let one = rids[3];
+        let len = a.modify_with(&bm_a, one, |row| row.map(|r| r.len()));
+        assert_eq!(len, Some(30));
+        assert!(a.modify_with(&bm_a, rids[0], |row| row.is_none()), "dead");
     }
 }

@@ -1,14 +1,16 @@
 //! Seeded multi-thread property tests for latch crabbing: writer
-//! threads interleave inserts, overwrites, and deletes on one shared
-//! B+Tree while reader threads run full-range scans, and the final
-//! contents must match a serially-applied oracle.
+//! threads interleave inserts, ascending `insert_sorted` runs,
+//! overwrites, and deletes on one shared B+Tree while reader threads
+//! run full-range scans and `get_sorted` probes, and the final contents
+//! must match a serially-applied oracle.
 //!
 //! Each writer owns a key stripe (`key % writers == id`), so the final
 //! state is independent of thread interleaving — any divergence from
 //! the oracle is a latching bug (lost update, torn split, broken leaf
-//! chain), not scheduling noise. Scans cross every stripe concurrently
-//! with splits and must always observe sorted keys and the per-key
-//! value invariant.
+//! chain), not scheduling noise. Scans and probes cross every stripe
+//! concurrently with splits and must always observe sorted keys and the
+//! per-key value invariant: every value carries its key in its low 16
+//! bits.
 
 use std::collections::BTreeMap;
 
@@ -33,8 +35,32 @@ impl Rng {
 #[derive(Clone, Copy)]
 enum Op {
     Insert(u64, u64),
+    /// `insert_sorted` of `len` consecutive stripe keys from `key`,
+    /// their values drawn from the seed `r`.
+    Run {
+        key: u64,
+        len: u64,
+        r: u64,
+    },
     Delete(u64),
 }
+
+/// A value for `key`, carrying the key in its low 16 bits (the reader
+/// invariant). Keys stay below `KEY_SPACE` < 2^16.
+fn value_for(key: u64, r: u64) -> u64 {
+    (r << 16) | key
+}
+
+/// The entries of an [`Op::Run`].
+fn run_entries(key: u64, len: u64, r: u64, writers: u64) -> Vec<(u64, u64)> {
+    (0..len)
+        .map(|i| key + i * writers)
+        .filter(|&k| k < KEY_SPACE)
+        .map(|k| (k, value_for(k, r ^ k)))
+        .collect()
+}
+
+const KEY_SPACE: u64 = 50_000;
 
 /// The op stream of writer `id`: pure function of (seed, id), keys
 /// restricted to the writer's stripe so streams commute across
@@ -45,17 +71,36 @@ fn ops_for(seed: u64, id: u64, writers: u64, ops: usize, key_space: u64) -> Vec<
         .map(|_| {
             let r = rng.next();
             let key = (r % key_space) / writers * writers + id; // stripe
-            if r % 5 == 4 {
-                Op::Delete(key)
-            } else {
-                Op::Insert(key, r >> 8)
+            match r % 5 {
+                4 => Op::Delete(key),
+                3 => Op::Run {
+                    key,
+                    len: 1 + (r >> 40) % 48,
+                    r: r >> 24,
+                },
+                _ => Op::Insert(key, value_for(key, r >> 24)),
             }
         })
         .collect()
 }
 
+/// `get_sorted` over `keys` random ascending keys: every hit must carry
+/// its key.
+fn probe_sorted(bm: &BufferManager, tree: &BTree, rng: &mut Rng, keys: usize) {
+    let mut probe: Vec<u64> = (0..keys).map(|_| rng.next() % (KEY_SPACE + 100)).collect();
+    probe.sort_unstable();
+    let mut seen = 0;
+    tree.get_sorted(bm, &probe, |k, v| {
+        assert_eq!(k, probe[seen], "get_sorted visits keys in order");
+        seen += 1;
+        if let Some(v) = v {
+            assert_eq!(v & 0xFFFF, k, "value {v:#x} under key {k}");
+        }
+    });
+    assert_eq!(seen, probe.len());
+}
+
 fn crabbing_matches_oracle(seed: u64, writers: u64, ops: usize, frames: usize, shards: usize) {
-    const KEY_SPACE: u64 = 50_000;
     let disk = DiskManager::new(4096);
     let bm = BufferManager::new_sharded(disk, frames, Replacement::Lru, shards);
     let tree = BTree::create(&bm);
@@ -73,6 +118,9 @@ fn crabbing_matches_oracle(seed: u64, writers: u64, ops: usize, frames: usize, s
                         Op::Insert(k, v) => {
                             tree.insert(bm, k, v);
                         }
+                        Op::Run { key, len, r } => {
+                            tree.insert_sorted(bm, &run_entries(key, len, r, writers));
+                        }
                         Op::Delete(k) => {
                             tree.delete(bm, k);
                         }
@@ -80,20 +128,24 @@ fn crabbing_matches_oracle(seed: u64, writers: u64, ops: usize, frames: usize, s
                 }
             });
         }
-        // readers: full-range scans concurrent with splits must see
-        // sorted keys; values are whatever some insert wrote
+        // readers: full-range scans and sorted probes concurrent with
+        // splits must see sorted keys; values are whatever some insert
+        // of that key wrote
         for r in 0..2u64 {
             let (bm, tree) = (&bm, &tree);
             scope.spawn(move || {
-                let mut rounds = 0;
-                while rounds < 40 {
+                let mut rng = Rng::new(seed ^ (r + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
+                for _ in 0..40 {
                     let mut last = None;
-                    tree.scan_range(bm, r * 1000, u64::MAX, |k, _| {
+                    tree.scan_range(bm, r * 1000, u64::MAX, |k, v| {
                         assert!(last < Some(k), "scan out of order: {last:?} then {k}");
+                        assert_eq!(v & 0xFFFF, k, "value {v:#x} under key {k}");
                         last = Some(k);
                         true
                     });
-                    rounds += 1;
+                    for _ in 0..4 {
+                        probe_sorted(bm, tree, &mut rng, 200);
+                    }
                 }
             });
         }
@@ -108,6 +160,7 @@ fn crabbing_matches_oracle(seed: u64, writers: u64, ops: usize, frames: usize, s
                 Op::Insert(k, v) => {
                     oracle.insert(k, v);
                 }
+                Op::Run { key, len, r } => oracle.extend(run_entries(key, len, r, writers)),
                 Op::Delete(k) => {
                     oracle.remove(&k);
                 }
@@ -129,6 +182,11 @@ fn crabbing_matches_oracle(seed: u64, writers: u64, ops: usize, frames: usize, s
     for &(k, v) in expected.iter().step_by(97) {
         assert_eq!(tree.get(&bm, k), Some(v));
     }
+    let keys: Vec<u64> = (0..KEY_SPACE + 100).step_by(13).collect();
+    let mut probed = Vec::new();
+    tree.get_sorted(&bm, &keys, |k, v| probed.push((k, v)));
+    let want: Vec<_> = keys.iter().map(|&k| (k, tree.get(&bm, k))).collect();
+    assert_eq!(probed, want, "get_sorted diverges from get");
 }
 
 /// FIFO churn under concurrency: every writer inserts at the head of
