@@ -294,13 +294,12 @@ impl TpccDb {
             .take()
             .expect("WAL mode always holds a checkpoint");
         let recovered = wal.try_recover(checkpoint);
-        // the log is spent: free it before the next checkpoint image is
-        // cloned, so the two never add up in peak memory
+        // the log is spent: free it before the workload resumes
         drop(wal);
         let recovered = recovered?;
         self.bm.flush_all();
         let equal = self.bm.with_disk(|disk| recovered.contents_equal(disk));
-        // re-arm for continued use
+        // re-arm for continued use: a handle copy of the flushed disk
         self.checkpoint = Some(self.bm.disk_snapshot());
         self.bm.enable_wal();
         Ok(equal)

@@ -258,7 +258,6 @@ struct PrefixVerifier {
     commit_index: Vec<usize>,
     image: DiskManager,
     applied: usize,
-    scratch: Vec<u8>,
     oracle: OracleCursor,
     /// Verdict per commit count, filled in ascending order.
     verified: Vec<Option<bool>>,
@@ -287,7 +286,6 @@ impl PrefixVerifier {
             commit_index,
             image,
             applied: 0,
-            scratch: Vec::new(),
             oracle: OracleCursor::new(cfg),
             verified,
             recover_checks: 0,
@@ -312,7 +310,7 @@ impl PrefixVerifier {
             "prefixes must be verified in ascending order"
         );
         for entry in &self.wal.entries()[self.applied..boundary] {
-            apply_entry(&mut self.image, &mut self.scratch, entry)
+            apply_entry(&mut self.image, entry)
                 .expect("a recorded committed prefix must replay cleanly");
         }
         self.applied = boundary;
@@ -683,8 +681,7 @@ fn rebuild_views_at(
     for file in registry.files() {
         sub.watch(file);
     }
-    let mut shadow = sub.shadow().snapshot();
-    let mut views = MaterializedViews::rescan(&mut shadow, registry);
+    let mut views = MaterializedViews::rescan(sub.shadow(), registry);
     for batch in sub.poll_upto(wal, boundary) {
         views.apply(registry, &batch);
     }
@@ -734,7 +731,7 @@ pub fn cdc_checkpoint_sweep(cfg: &SweepConfig, checkpoint_every: u64) -> CdcSwee
     for c in 0..=total_commits {
         let boundary = verifier.commit_index[c];
         let mut ok = verifier.verify_prefix(boundary);
-        let ground = MaterializedViews::rescan(&mut verifier.image, &rec.registry);
+        let ground = MaterializedViews::rescan(&verifier.image, &rec.registry);
         let rebuilt = rebuild_views_at(
             &rec.registry,
             &verifier.checkpoint,
@@ -774,8 +771,8 @@ pub fn cdc_checkpoint_sweep(cfg: &SweepConfig, checkpoint_every: u64) -> CdcSwee
             boundary,
         );
         match crash.wal.try_recover(crash.base.snapshot()) {
-            Ok(mut recovered) => {
-                let ground = MaterializedViews::rescan(&mut recovered, &crash.registry);
+            Ok(recovered) => {
+                let ground = MaterializedViews::rescan(&recovered, &crash.registry);
                 if rebuilt.encode() != ground.encode() {
                     unrecovered += 1;
                 }

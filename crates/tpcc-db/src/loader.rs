@@ -27,7 +27,6 @@ pub fn load(cfg: DbConfig, seed: u64) -> TpccDb {
     }
     db.bm.flush_all();
     db.reset_stats();
-    db.bm.with_disk_mut(tpcc_storage::DiskManager::reset_stats);
     if cfg.enable_wal {
         db.checkpoint = Some(db.bm.disk_snapshot());
         db.bm.enable_wal();

@@ -485,7 +485,7 @@ impl MaterializedViews {
     /// Builds all three views by scanning a raw disk image's base
     /// tables — the ground truth incremental maintenance must equal.
     #[must_use]
-    pub fn rescan(disk: &mut DiskManager, registry: &ViewRegistry) -> Self {
+    pub fn rescan(disk: &DiskManager, registry: &ViewRegistry) -> Self {
         let mut v = Self::default();
         // districts first: the last-20 window bound for order lines
         scan_heap(disk, registry.file_of(Relation::District), |bytes| {
@@ -526,13 +526,12 @@ impl MaterializedViews {
     }
 
     /// Rescans the live database: flushes dirty pages and scans the
-    /// flushed disk image. Quiesce the workload first — this is the
+    /// flushed disk in place. Quiesce the workload first — this is the
     /// harvest-point ground truth of the replay-equivalence tests.
     #[must_use]
     pub fn rescan_live(db: &TpccDb, registry: &ViewRegistry) -> Self {
         db.flush();
-        let mut disk = db.bm.disk_snapshot();
-        Self::rescan(&mut disk, registry)
+        db.bm.with_disk(|disk| Self::rescan(disk, registry))
     }
 
     /// Canonical byte encoding: every map in key order, fixed-width
@@ -595,15 +594,13 @@ impl MaterializedViews {
 
 /// Applies `f` to every live record of a heap file in a raw disk
 /// image, in (page, slot) order.
-fn scan_heap(disk: &mut DiskManager, file: FileId, mut f: impl FnMut(&[u8])) {
-    let page_size = disk.page_size();
-    let mut buf = vec![0u8; page_size];
+fn scan_heap(disk: &DiskManager, file: FileId, mut f: impl FnMut(&[u8])) {
     for page in 0..disk.pages(file) {
         if disk.is_free(file, page) {
             continue;
         }
-        disk.read_page(file, page, &mut buf);
-        for (_, (off, len)) in live_slots(&buf) {
+        let buf = disk.page(file, page);
+        for (_, (off, len)) in live_slots(buf) {
             f(&buf[off..off + len]);
         }
     }
@@ -659,8 +656,7 @@ impl CdcPipeline {
     }
 
     fn seed(sub: CdcSubscriber, registry: ViewRegistry) -> Self {
-        let mut shadow = sub.shadow().snapshot();
-        let views = MaterializedViews::rescan(&mut shadow, &registry);
+        let views = MaterializedViews::rescan(sub.shadow(), &registry);
         Self {
             sub,
             registry,

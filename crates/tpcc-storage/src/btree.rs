@@ -1723,9 +1723,8 @@ mod tests {
                 let f = disk.create_file();
                 disk.allocate_page(f);
                 disk.write_page(f, 0, &before);
-                let mut scratch = Vec::new();
                 for entry in entries {
-                    apply_entry(&mut disk, &mut scratch, entry).expect("record fits");
+                    apply_entry(&mut disk, entry).expect("record fits");
                 }
                 let mut out = vec![0u8; page_size];
                 disk.read_page(f, 0, &mut out);

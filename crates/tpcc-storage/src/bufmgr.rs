@@ -567,15 +567,11 @@ impl BufferManager {
         f(&self.disk.lock().expect("disk lock"))
     }
 
-    /// Runs `f` against the underlying disk, mutably (tests, stats
-    /// resets). Page traffic should go through the pool instead.
-    pub fn with_disk_mut<R>(&self, f: impl FnOnce(&mut DiskManager) -> R) -> R {
-        f(&mut self.disk.lock().expect("disk lock"))
-    }
-
-    /// A deep copy of the disk's current contents (checkpoint image).
-    /// Call [`BufferManager::flush_all`] first if the pool may hold
-    /// dirty frames that should be part of the image.
+    /// The disk's current contents as a copy-on-write checkpoint image:
+    /// it shares every page with the live disk until one side writes it
+    /// (see [`DiskManager::snapshot`]). Call [`BufferManager::flush_all`]
+    /// first if the pool may hold dirty frames that should be part of
+    /// the image.
     #[must_use]
     pub fn disk_snapshot(&self) -> DiskManager {
         self.disk.lock().expect("disk lock").snapshot()
@@ -1289,7 +1285,7 @@ mod tests {
         bm.with_page_mut(f, 3, |d| d[0] = 9);
         bm.flush_all();
         let mut buf = vec![0u8; 128];
-        bm.with_disk_mut(|d| d.read_page(f, 3, &mut buf));
+        bm.with_disk(|d| d.read_page(f, 3, &mut buf));
         assert_eq!(buf[0], 9);
     }
 
@@ -1445,7 +1441,7 @@ mod tests {
         let some_dirty_lost = {
             let mut probe = vec![0u8; 128];
             let crashed = bm;
-            crashed.with_disk_mut(|d| d.read_page(f, 0, &mut probe));
+            crashed.with_disk(|d| d.read_page(f, 0, &mut probe));
             // page 0 was re-dirtied and (depending on eviction) may not
             // be on disk; recovery must not depend on that
             drop(crashed);
@@ -1453,7 +1449,7 @@ mod tests {
         };
         let _ = some_dirty_lost;
 
-        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 128];
         recovered.read_page(f, 0, &mut buf);
         assert_eq!((buf[7], buf[8]), (1, 4));
@@ -1495,7 +1491,7 @@ mod tests {
         bm.with_page_mut(f, 0, |d| d[2] = 22); // in-flight at the crash
         let wal = bm.take_wal().expect("enabled");
 
-        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 128];
         recovered.read_page(f, 0, &mut buf);
         assert_eq!(buf[1], 11, "committed write replayed");
@@ -1535,7 +1531,7 @@ mod tests {
         assert!(s.misses >= 32, "cold misses at least");
         bm.flush_all();
         let mut buf = vec![0u8; 128];
-        bm.with_disk_mut(|d| d.read_page(f, 31, &mut buf));
+        bm.with_disk(|d| d.read_page(f, 31, &mut buf));
         assert_eq!(buf[0], 31);
     }
 

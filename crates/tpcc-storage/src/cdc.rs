@@ -10,8 +10,8 @@
 //! the decoder and crash recovery cannot drift apart. Page deltas are
 //! *physical* (a logical insert writes the slot directory and the
 //! record bytes as separate segmented deltas), so the subscriber never
-//! diffs per delta. Instead it captures each watched page's before
-//! image at first touch after a commit boundary and diffs the slotted
+//! diffs per delta. Instead it copies each watched page's before image
+//! at first touch after a commit boundary and diffs the slotted
 //! page's **live slots** only when the next [`WalEntry::Commit`] /
 //! [`WalEntry::Decide`] marker lands. The per-marker diffs telescope:
 //! their composition over any WAL prefix equals the total change of
@@ -162,9 +162,10 @@ pub struct CdcCheckpoint {
 }
 
 impl CdcCheckpoint {
-    /// A deep copy, so one stored checkpoint can seed many resumed
-    /// subscribers (the crashpoint sweep rebuilds from the same
-    /// checkpoint once per verified prefix).
+    /// A copy that shares the stored shadow's pages (see
+    /// [`DiskManager::snapshot`]), so one stored checkpoint can seed
+    /// many resumed subscribers (the crashpoint sweep rebuilds from the
+    /// same checkpoint once per verified prefix).
     #[must_use]
     pub fn snapshot(&self) -> Self {
         Self {
@@ -194,7 +195,6 @@ pub struct CdcSubscriber {
     watched: Vec<FileId>,
     max_lag: Option<usize>,
     hook: Option<Arc<FaultHook>>,
-    scratch: Vec<u8>,
     stats: CdcStats,
 }
 
@@ -220,7 +220,6 @@ impl CdcSubscriber {
             watched: Vec::new(),
             max_lag: None,
             hook: None,
-            scratch: Vec::new(),
             stats: CdcStats::default(),
         }
     }
@@ -349,7 +348,6 @@ impl CdcSubscriber {
         let mut batches = Vec::new();
         // watched pages touched since the last boundary → before image
         let mut pending: BTreeMap<(FileId, u32), Vec<u8>> = BTreeMap::new();
-        let page_size = self.shadow.page_size();
         for (i, entry) in entries.iter().enumerate().take(upto).skip(self.cursor) {
             // every variant that mutates page bytes is named, so a new
             // one cannot slip past the first-touch capture
@@ -359,11 +357,9 @@ impl CdcSubscriber {
                 | WalEntry::LeafRemove { file, page, .. }
                 | WalEntry::FreePage { file, page } => {
                     if self.watched.contains(file) {
-                        pending.entry((*file, *page)).or_insert_with(|| {
-                            let mut buf = vec![0u8; page_size];
-                            self.shadow.read_page(*file, *page, &mut buf);
-                            buf
-                        });
+                        pending
+                            .entry((*file, *page))
+                            .or_insert_with(|| self.shadow.page(*file, *page).to_vec());
                     }
                 }
                 WalEntry::CreateFile { .. }
@@ -372,7 +368,7 @@ impl CdcSubscriber {
                 | WalEntry::Prepare { .. }
                 | WalEntry::Decide { .. } => {}
             }
-            apply_entry(&mut self.shadow, &mut self.scratch, entry)
+            apply_entry(&mut self.shadow, entry)
                 .expect("a durable committed prefix must replay cleanly");
             let boundary = match entry {
                 WalEntry::Commit { txn } | WalEntry::Decide { txn, .. } => Some(*txn),
@@ -403,17 +399,13 @@ impl CdcSubscriber {
     /// Diffs each pending page's live slots against its current shadow
     /// image and drains the map.
     fn diff_pending(&mut self, pending: &mut BTreeMap<(FileId, u32), Vec<u8>>) -> Vec<RowChange> {
-        let page_size = self.shadow.page_size();
         let mut changes = Vec::new();
         for ((file, page), before_img) in std::mem::take(pending) {
-            let mut after_img = vec![0u8; page_size];
             // a freed page reads back as zeros (unformatted): every
             // previously live slot becomes a delete
-            if !self.shadow.is_free(file, page) {
-                self.shadow.read_page(file, page, &mut after_img);
-            }
+            let after_img = self.shadow.page(file, page);
             let before = live_slots(&before_img);
-            let after = live_slots(&after_img);
+            let after = live_slots(after_img);
             for (&slot, &(boff, blen)) in &before {
                 let b = &before_img[boff..boff + blen];
                 match after.get(&slot) {

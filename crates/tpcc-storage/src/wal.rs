@@ -606,11 +606,9 @@ impl Wal {
         mut checkpoint: DiskManager,
         resolver: impl Fn(u64) -> bool,
     ) -> Result<DiskManager, RecoveryError> {
-        let mut scratch = vec![0u8; checkpoint.page_size()];
         for entry in &self.entries[..self.committed_len_resolved(resolver)] {
-            apply_entry(&mut checkpoint, &mut scratch, entry)?;
+            apply_entry(&mut checkpoint, entry)?;
         }
-        checkpoint.reset_stats();
         Ok(checkpoint)
     }
 
@@ -646,18 +644,15 @@ impl Wal {
 /// so both replay paths cannot drift apart. Every entry is validated
 /// against the image *before* it mutates anything.
 ///
-/// `scratch` is a reusable page buffer; it is resized to the image's
-/// page size as needed.
+/// A page record patches the image in place. A page the image still
+/// shares with another snapshot (the live disk, a stored checkpoint)
+/// is copied at its first patch, so replay copies only the pages the
+/// log touches.
 ///
 /// # Errors
 /// The same [`RecoveryError`]s as [`Wal::try_recover`], whose replay
 /// loop is exactly this function folded over the committed prefix.
-pub fn apply_entry(
-    checkpoint: &mut DiskManager,
-    scratch: &mut Vec<u8>,
-    entry: &WalEntry,
-) -> Result<(), RecoveryError> {
-    let page_size = checkpoint.page_size();
+pub fn apply_entry(checkpoint: &mut DiskManager, entry: &WalEntry) -> Result<(), RecoveryError> {
     match entry {
         WalEntry::CreateFile { file } => {
             let created = checkpoint.create_file();
@@ -699,7 +694,7 @@ pub fn apply_entry(
         } => {
             check_page(checkpoint, *file, *page)?;
             let start = *offset as usize;
-            if start + data.len() > page_size {
+            if start + data.len() > checkpoint.page_size() {
                 return Err(RecoveryError::DeltaOutOfBounds {
                     file: *file,
                     page: *page,
@@ -707,17 +702,11 @@ pub fn apply_entry(
                     len: data.len(),
                 });
             }
-            scratch.resize(page_size, 0);
-            checkpoint.read_page(*file, *page, scratch);
-            scratch[start..start + data.len()].copy_from_slice(data);
-            checkpoint.write_page(*file, *page, scratch);
+            checkpoint.page_mut(*file, *page)[start..start + data.len()].copy_from_slice(data);
         }
         WalEntry::LeafInsert { file, page, .. } | WalEntry::LeafRemove { file, page, .. } => {
             check_page(checkpoint, *file, *page)?;
-            scratch.resize(page_size, 0);
-            checkpoint.read_page(*file, *page, scratch);
-            redo_leaf_record(scratch, entry)?;
-            checkpoint.write_page(*file, *page, scratch);
+            redo_leaf_record(checkpoint.page_mut(*file, *page), entry)?;
         }
         WalEntry::Commit { .. } | WalEntry::Prepare { .. } | WalEntry::Decide { .. } => {}
     }
@@ -993,7 +982,6 @@ mod tests {
 
         let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut out = vec![0u8; 64];
-        let mut recovered = recovered;
         recovered.read_page(f, p, &mut out);
         assert_eq!(out[5], 42);
         assert_eq!(wal.commits(), 1);
@@ -1024,7 +1012,7 @@ mod tests {
         });
         wal.append(WalEntry::AllocPage { file: f, page: 1 });
 
-        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 64];
         recovered.read_page(f, p, &mut buf);
         assert_eq!(buf[0], 1, "committed transaction replayed");
@@ -1046,7 +1034,7 @@ mod tests {
             offset: 0,
             data: vec![9],
         });
-        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 64];
         recovered.read_page(f, p, &mut buf);
         assert_eq!(buf[0], 0, "no commit marker, nothing applies");
@@ -1484,7 +1472,7 @@ mod tests {
         });
         assert_eq!(wal.committed_len(), 4, "abort decision is a boundary");
         assert_eq!(wal.commits(), 0, "an abort is not a commit");
-        let mut recovered = wal.try_recover(checkpoint).expect("log applies");
+        let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 64];
         recovered.read_page(f, p, &mut buf);
         assert_eq!(buf[0], 0, "compensation nets the abort to a no-op");
@@ -1507,14 +1495,14 @@ mod tests {
         wal.append(WalEntry::Prepare { txn: 11 });
         // crash here: durable prepare, no decision on this node
 
-        let mut committed = wal
+        let committed = wal
             .try_recover_resolved(checkpoint.snapshot(), |t| t == 11)
             .expect("applies");
         let mut buf = vec![0u8; 64];
         committed.read_page(f, p, &mut buf);
         assert_eq!(buf[3], 42, "coordinator-committed prepare replayed");
 
-        let mut aborted = wal
+        let aborted = wal
             .try_recover_resolved(checkpoint.snapshot(), |_| false)
             .expect("applies");
         aborted.read_page(f, p, &mut buf);
@@ -1648,7 +1636,6 @@ mod tests {
                 },
             ),
         ];
-        let mut scratch = Vec::new();
         for (page, record) in &rejected {
             let untouched = disk.snapshot();
             let slot = match *record {
@@ -1656,7 +1643,7 @@ mod tests {
                 _ => unreachable!(),
             };
             assert_eq!(
-                apply_entry(&mut disk, &mut scratch, record),
+                apply_entry(&mut disk, record),
                 Err(RecoveryError::BadLeafRecord {
                     file: f,
                     page: *page,
@@ -1685,7 +1672,7 @@ mod tests {
             slot: 0,
         };
         assert_eq!(
-            apply_entry(&mut disk, &mut scratch, &far),
+            apply_entry(&mut disk, &far),
             Err(RecoveryError::UnknownPage { file: f, page: 9 })
         );
         let nowhere = WalEntry::LeafRemove {
@@ -1694,7 +1681,7 @@ mod tests {
             slot: 0,
         };
         assert_eq!(
-            apply_entry(&mut disk, &mut scratch, &nowhere),
+            apply_entry(&mut disk, &nowhere),
             Err(RecoveryError::UnknownFile { file: FileId(4) })
         );
 
@@ -1715,7 +1702,7 @@ mod tests {
             },
         ];
         for record in &fits {
-            apply_entry(&mut disk, &mut scratch, record).expect("fits");
+            apply_entry(&mut disk, record).expect("fits");
         }
         let mut out = vec![0u8; PAGE];
         disk.read_page(f, 0, &mut out);
