@@ -49,7 +49,7 @@ use tpcc_obs::Label;
 use tpcc_schema::relation::Relation;
 use tpcc_storage::cdc::{CdcCheckpoint, RowChange};
 use tpcc_storage::cdc::{CdcLag, CdcStats, CdcSubscriber, ChangeBatch, RowOp};
-use tpcc_storage::page::live_slots;
+use tpcc_storage::page::slots;
 use tpcc_storage::{DiskManager, FaultHook, FileId};
 
 use crate::db::TpccDb;
@@ -327,15 +327,23 @@ impl StockThresholdView {
     /// Memory bound: drop orders more than [`RECENT_SLACK`] behind the
     /// district cursor. Deliberately *not* the exact query window —
     /// see the `recent` field docs for why exact pruning here races.
+    /// A district whose first order is inside the slack costs one
+    /// lookup, so a batch pays O(log n) per district, not O(orders);
+    /// a district left empty leaves the map.
     fn prune_slack(&mut self) {
-        self.recent.retain(|&(w, d), orders| {
+        self.recent.retain(|key, orders| {
             let keep_from = self
                 .next_o_id
-                .get(&(w, d))
+                .get(key)
                 .copied()
                 .unwrap_or(0)
                 .saturating_sub(RECENT_SLACK);
-            orders.retain(|&o, _| o >= keep_from);
+            if orders
+                .first_key_value()
+                .is_some_and(|(&o, _)| o < keep_from)
+            {
+                *orders = orders.split_off(&keep_from);
+            }
             !orders.is_empty()
         });
     }
@@ -600,7 +608,7 @@ fn scan_heap(disk: &DiskManager, file: FileId, mut f: impl FnMut(&[u8])) {
             continue;
         }
         let buf = disk.page(file, page);
-        for (_, (off, len)) in live_slots(buf) {
+        for (off, len) in slots(buf).flatten() {
             f(&buf[off..off + len]);
         }
     }
@@ -692,14 +700,7 @@ impl CdcPipeline {
         obs.histogram_handle("cdc_lag_entries", Label::None)
             .record(lag as u64);
         let batches = polled?;
-        let events: usize = batches.iter().map(|b| b.changes.len()).sum();
-        obs.counter_handle("cdc_events", Label::None)
-            .add(events as u64);
-        obs.counter_handle("cdc_batches", Label::None)
-            .add(batches.len() as u64);
-        for batch in &batches {
-            self.views.apply(&self.registry, batch);
-        }
+        self.fold(db, &batches);
         Ok(batches)
     }
 
@@ -710,16 +711,22 @@ impl CdcPipeline {
         let batches = db
             .with_wal(|wal| self.sub.poll_unbounded(wal))
             .expect("CDC requires WAL mode");
+        self.fold(db, &batches);
+        batches
+    }
+
+    /// Records the `cdc_events` / `cdc_batches` counters and folds the
+    /// batches into the views.
+    fn fold(&mut self, db: &TpccDb, batches: &[ChangeBatch]) {
         let obs = db.bm.obs();
         let events: usize = batches.iter().map(|b| b.changes.len()).sum();
         obs.counter_handle("cdc_events", Label::None)
             .add(events as u64);
         obs.counter_handle("cdc_batches", Label::None)
             .add(batches.len() as u64);
-        for batch in &batches {
+        for batch in batches {
             self.views.apply(&self.registry, batch);
         }
-        batches
     }
 
     /// Takes a cursor checkpoint (fires the `cdc_checkpoint` fault
@@ -758,5 +765,72 @@ impl CdcPipeline {
     #[must_use]
     pub fn stats(&self) -> CdcStats {
         self.sub.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Districts (1, 1) and (1, 2) with orders 1..=600 each, two items
+    /// per order, cursors at 601.
+    fn fed() -> MaterializedViews {
+        let mut v = MaterializedViews::default();
+        for d in [1, 2] {
+            let orders = v.stock_threshold.recent.entry((1, d)).or_default();
+            for o in 1..=600 {
+                orders.insert(o, BTreeSet::from([o % 7, 100 + o % 3]));
+            }
+            v.stock_threshold.next_o_id.insert((1, d), 601);
+        }
+        v
+    }
+
+    /// Moves district (1, 1)'s cursor to `n1`, admitting the orders in
+    /// between, and district (1, 2)'s to `n2` with no new orders.
+    fn advance(v: &mut MaterializedViews, n1: u64, n2: u64) {
+        let st = &mut v.stock_threshold;
+        let from = st.next_o_id(1, 1);
+        let orders = st.recent.entry((1, 1)).or_default();
+        for o in from..n1 {
+            orders.insert(o, BTreeSet::from([o % 7, 100 + o % 3]));
+        }
+        st.next_o_id.insert((1, 1), n1);
+        st.next_o_id.insert((1, 2), n2);
+    }
+
+    #[test]
+    fn prune_slack_keeps_exactly_the_slack_window() {
+        let mut per_batch = fed();
+        let mut per_poll = fed();
+        for (n1, n2) in [(601, 601), (700, 800), (900, 1000), (1000, 2000)] {
+            advance(&mut per_batch, n1, n2);
+            advance(&mut per_poll, n1, n2);
+            per_batch.stock_threshold.prune_slack();
+            let recent = &per_batch.stock_threshold.recent;
+            let kept: Vec<u64> = recent[&(1, 1)].keys().copied().collect();
+            let want: Vec<u64> = (n1.saturating_sub(RECENT_SLACK).max(1)..n1).collect();
+            assert_eq!(kept, want, "district 1 at next_o_id {n1}");
+            let keep_from = n2 - RECENT_SLACK;
+            if keep_from > 600 {
+                assert!(
+                    !recent.contains_key(&(1, 2)),
+                    "an emptied district leaves the map"
+                );
+            } else {
+                let kept = recent[&(1, 2)].keys().copied();
+                assert!(kept.eq(keep_from.max(1)..=600), "district 2 at {n2}");
+            }
+        }
+        per_poll.stock_threshold.prune_slack();
+        assert_eq!(
+            per_batch.encode(),
+            per_poll.encode(),
+            "pruning per batch or once per poll leaves the same window"
+        );
+        assert_eq!(
+            per_batch.stock_threshold.recent.len(),
+            per_poll.stock_threshold.recent.len()
+        );
     }
 }

@@ -11,9 +11,11 @@
 //! *physical* (a logical insert writes the slot directory and the
 //! record bytes as separate segmented deltas), so the subscriber never
 //! diffs per delta. Instead it copies each watched page's before image
-//! at first touch after a commit boundary and diffs the slotted
-//! page's **live slots** only when the next [`WalEntry::Commit`] /
-//! [`WalEntry::Decide`] marker lands. The per-marker diffs telescope:
+//! at first touch after a commit boundary and, only when the next
+//! [`WalEntry::Commit`] / [`WalEntry::Decide`] marker lands, walks the
+//! before and after **slot directories** side by side, slot by slot:
+//! O(slots) per touched page, no map built, and nothing allocated
+//! except the rows it emits. The per-marker diffs telescope:
 //! their composition over any WAL prefix equals the total change of
 //! that prefix, which is what the replay-equivalence tests assert.
 //!
@@ -51,7 +53,7 @@ use std::sync::Arc;
 
 use crate::disk::{DiskManager, FileId};
 use crate::fault::{FaultHook, FaultSite};
-use crate::page::live_slots;
+use crate::page::slots;
 use crate::wal::{apply_entry, Wal, WalEntry};
 
 /// One row-level change, attributed to a slot of a watched page file.
@@ -396,56 +398,70 @@ impl CdcSubscriber {
         batches
     }
 
-    /// Diffs each pending page's live slots against its current shadow
-    /// image and drains the map.
-    fn diff_pending(&mut self, pending: &mut BTreeMap<(FileId, u32), Vec<u8>>) -> Vec<RowChange> {
+    /// Diffs each pending page's before image against its current
+    /// shadow image and drains the map. Each page costs one walk of
+    /// its two slot directories ([`diff_page`]); `pending` is ordered
+    /// by (file, page) and a walk emits in slot order, so the output
+    /// is in (file, page, slot) order with no sort.
+    fn diff_pending(&self, pending: &mut BTreeMap<(FileId, u32), Vec<u8>>) -> Vec<RowChange> {
         let mut changes = Vec::new();
         for ((file, page), before_img) in std::mem::take(pending) {
-            // a freed page reads back as zeros (unformatted): every
-            // previously live slot becomes a delete
-            let after_img = self.shadow.page(file, page);
-            let before = live_slots(&before_img);
-            let after = live_slots(after_img);
-            for (&slot, &(boff, blen)) in &before {
-                let b = &before_img[boff..boff + blen];
-                match after.get(&slot) {
-                    Some(&(aoff, alen)) => {
-                        let a = &after_img[aoff..aoff + alen];
-                        if a != b {
-                            changes.push(RowChange {
-                                file,
-                                page,
-                                slot,
-                                op: RowOp::Update {
-                                    before: b.to_vec(),
-                                    after: a.to_vec(),
-                                },
-                            });
-                        }
-                    }
-                    None => changes.push(RowChange {
-                        file,
-                        page,
-                        slot,
-                        op: RowOp::Delete { before: b.to_vec() },
-                    }),
-                }
-            }
-            for (&slot, &(aoff, alen)) in &after {
-                if !before.contains_key(&slot) {
-                    changes.push(RowChange {
-                        file,
-                        page,
-                        slot,
-                        op: RowOp::Insert {
-                            after: after_img[aoff..aoff + alen].to_vec(),
-                        },
-                    });
-                }
-            }
+            diff_page(
+                file,
+                page,
+                &before_img,
+                self.shadow.page(file, page),
+                &mut changes,
+            );
         }
-        changes.sort_by_key(|c| (c.file, c.page, c.slot));
+        debug_assert!(
+            changes
+                .windows(2)
+                .all(|w| (w[0].file, w[0].page, w[0].slot) < (w[1].file, w[1].page, w[1].slot)),
+            "row changes out of (file, page, slot) order"
+        );
         changes
+    }
+}
+
+/// Appends the row changes between two images of one slotted page,
+/// in slot order, by walking both slot directories together: a slot
+/// live on both sides with different bytes is an update, live only
+/// before a delete, live only after an insert. The shorter directory
+/// reads as dead slots beyond its end, and an unformatted image (a
+/// fresh page, or a freed one that reads back as zeros) as an empty
+/// directory, so freeing a page deletes every row it held.
+fn diff_page(
+    file: FileId,
+    page: u32,
+    before_img: &[u8],
+    after_img: &[u8],
+    out: &mut Vec<RowChange>,
+) {
+    let (mut before, mut after) = (slots(before_img), slots(after_img));
+    // a u16 slot id never wraps: a 64 KiB page holds < 16 384 entries
+    for slot in 0u16.. {
+        let (b, a) = match (before.next(), after.next()) {
+            (None, None) => return,
+            (b, a) => (b.flatten(), a.flatten()),
+        };
+        let b = b.map(|(off, len)| &before_img[off..off + len]);
+        let a = a.map(|(off, len)| &after_img[off..off + len]);
+        let op = match (b, a) {
+            (Some(b), Some(a)) if a != b => RowOp::Update {
+                before: b.to_vec(),
+                after: a.to_vec(),
+            },
+            (Some(b), None) => RowOp::Delete { before: b.to_vec() },
+            (None, Some(a)) => RowOp::Insert { after: a.to_vec() },
+            _ => continue,
+        };
+        out.push(RowChange {
+            file,
+            page,
+            slot,
+            op,
+        });
     }
 }
 
@@ -454,6 +470,156 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::page::SlottedPage;
+
+    /// The live-slot-map diff [`diff_page`] replaced, kept as the
+    /// reference its walk is compared against: a map of every live
+    /// slot on each side, deletes and updates in before order, then
+    /// inserts, then a sort. It parses the directory itself, so a
+    /// fault in [`slots`] cannot hide in both paths.
+    fn diff_page_by_maps(
+        file: FileId,
+        page: u32,
+        before_img: &[u8],
+        after_img: &[u8],
+    ) -> Vec<RowChange> {
+        fn live_slots(data: &[u8]) -> BTreeMap<u16, (usize, usize)> {
+            if data.len() < 6 || !SlottedPage::is_formatted(data) {
+                return BTreeMap::new();
+            }
+            let n = u16::from_le_bytes([data[0], data[1]]) as usize;
+            (0..n)
+                .filter_map(|i| {
+                    let e = &data[6 + 4 * i..];
+                    let off = u16::from_le_bytes([e[0], e[1]]);
+                    let len = u16::from_le_bytes([e[2], e[3]]);
+                    (off != u16::MAX).then_some((i as u16, (off as usize, len as usize)))
+                })
+                .collect()
+        }
+        let before = live_slots(before_img);
+        let after = live_slots(after_img);
+        let mut changes = Vec::new();
+        for (&slot, &(boff, blen)) in &before {
+            let b = &before_img[boff..boff + blen];
+            let op = match after.get(&slot) {
+                Some(&(aoff, alen)) => {
+                    let a = &after_img[aoff..aoff + alen];
+                    if a == b {
+                        continue;
+                    }
+                    RowOp::Update {
+                        before: b.to_vec(),
+                        after: a.to_vec(),
+                    }
+                }
+                None => RowOp::Delete { before: b.to_vec() },
+            };
+            changes.push(RowChange {
+                file,
+                page,
+                slot,
+                op,
+            });
+        }
+        for (&slot, &(aoff, alen)) in &after {
+            if !before.contains_key(&slot) {
+                changes.push(RowChange {
+                    file,
+                    page,
+                    slot,
+                    op: RowOp::Insert {
+                        after: after_img[aoff..aoff + alen].to_vec(),
+                    },
+                });
+            }
+        }
+        changes.sort_by_key(|c| (c.file, c.page, c.slot));
+        changes
+    }
+
+    /// `steps` seeded inserts (1–40 B), same-length updates (possibly
+    /// to the same bytes), deletes and compactions on a formatted page.
+    fn churn(buf: &mut [u8], steps: u64, pick: &mut impl FnMut(u64) -> u64) {
+        let mut p = SlottedPage::attach(buf);
+        for _ in 0..steps {
+            let slot = pick(23) as u16;
+            match pick(9) {
+                0..=3 => {
+                    let len = 1 + pick(39) as usize;
+                    let _ = p.insert(&vec![pick(3) as u8; len]);
+                }
+                4..=6 => {
+                    if let Some(len) = p.get(slot).map(<[u8]>::len) {
+                        assert!(p.update(slot, &vec![pick(3) as u8; len]));
+                    }
+                }
+                7 | 8 => {
+                    let _ = p.delete(slot);
+                }
+                _ => p.compact(),
+            }
+        }
+    }
+
+    /// The directory walk emits exactly the reference map diff's
+    /// changes, in the same order, over seeded before/after pairs of
+    /// one churned page: slot reuse, directory growth (and, with the
+    /// pair swapped, a before directory longer than the after one),
+    /// compaction, identical rewrites, and an unformatted image on
+    /// either side (a fresh page, or a freed page that reads back as
+    /// zeros).
+    #[test]
+    fn directory_walk_matches_live_slot_map_diff() {
+        use tpcc_rand::Xoshiro256;
+        const CASES: usize = 6_000;
+        let mut rng = Xoshiro256::seed_from_u64(0x0CDC_D1FF);
+        let mut pick = |hi: u64| rng.uniform_inclusive(0, hi);
+        let (mut events, mut ragged) = (0, 0);
+        for case in 0..CASES {
+            let (file, page) = (FileId(pick(3) as u32), pick(1000) as u32);
+            let mut before = vec![0u8; 512];
+            let fresh = case % 8 == 0;
+            if !fresh {
+                SlottedPage::init(&mut before);
+                let steps = pick(120);
+                churn(&mut before, steps, &mut pick);
+            }
+            let mut after = before.clone();
+            match case % 8 {
+                // a fresh page formatted and filled
+                0 => {
+                    SlottedPage::init(&mut after);
+                    let steps = pick(40);
+                    churn(&mut after, steps, &mut pick);
+                }
+                // a freed page: all zeros
+                1 => after.fill(0),
+                _ => {
+                    let steps = 1 + pick(12);
+                    churn(&mut after, steps, &mut pick);
+                }
+            }
+            if case % 8 == 3 {
+                std::mem::swap(&mut before, &mut after);
+            }
+            let mut got = Vec::new();
+            diff_page(file, page, &before, &after, &mut got);
+            assert_eq!(
+                got,
+                diff_page_by_maps(file, page, &before, &after),
+                "case {case}"
+            );
+            events += got.len();
+            let (nb, na) = (slots(&before).count(), slots(&after).count());
+            let longer = if nb > na { &before } else { &after };
+            ragged += usize::from(slots(longer).skip(nb.min(na)).any(|e| e.is_some()));
+        }
+        assert!(events > CASES, "the generator produced {events} events");
+        assert!(
+            ragged > CASES / 8,
+            "only {ragged} pairs had a live slot past the shorter directory"
+        );
+    }
 
     /// A tiny WAL-producing fixture: one file, one page, logical
     /// inserts/updates/deletes logged as whole-page deltas.

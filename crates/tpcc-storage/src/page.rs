@@ -13,8 +13,6 @@
 //! All operations work in place on a borrowed byte slice, so the buffer
 //! manager's frames can be manipulated without copies.
 
-use std::collections::BTreeMap;
-
 const HEADER: usize = 6;
 const SLOT: usize = 4;
 const DEAD: u16 = u16::MAX;
@@ -28,21 +26,22 @@ fn slot_entry(data: &[u8], i: usize) -> (u16, u16) {
     )
 }
 
-/// Live slots of a read-only page image: slot id → (offset, len).
-/// Empty for an unformatted (freed / never-initialized) page. The CDC
-/// decoder diffs page images through this, and view rescans enumerate
-/// a raw disk image's records with it.
-#[must_use]
-pub fn live_slots(data: &[u8]) -> BTreeMap<u16, (usize, usize)> {
-    if data.len() < HEADER || !SlottedPage::is_formatted(data) {
-        return BTreeMap::new();
-    }
-    let n = u16::from_le_bytes([data[0], data[1]]) as usize;
-    (0..n)
-        .map(|i| (i, slot_entry(data, i)))
-        .filter(|&(_, (off, _))| off != DEAD)
-        .map(|(i, (off, len))| (i as u16, (off as usize, len as usize)))
-        .collect()
+/// Every directory entry of a read-only page image, in slot order:
+/// `Some((offset, len))` for a live slot, `None` for a dead one. Empty
+/// for an unformatted (freed / never-initialized) page. The CDC
+/// decoder walks a page's before and after directories side by side
+/// through this, and view rescans enumerate a raw disk image's records
+/// with `slots(data).flatten()`.
+pub fn slots(data: &[u8]) -> impl Iterator<Item = Option<(usize, usize)>> + '_ {
+    let n = if data.len() < HEADER || !SlottedPage::is_formatted(data) {
+        0
+    } else {
+        u16::from_le_bytes([data[0], data[1]]) as usize
+    };
+    (0..n).map(move |i| {
+        let (off, len) = slot_entry(data, i);
+        (off != DEAD).then_some((off as usize, len as usize))
+    })
 }
 
 /// A view over one page's bytes, interpreted as a slotted page.
@@ -419,13 +418,14 @@ mod tests {
         assert_eq!(live, vec![1]);
     }
 
-    /// `live_slots` over a raw image agrees with `SlottedPage::iter`
-    /// after any seeded insert/update/delete/compact sequence.
+    /// `slots` over a raw image agrees with `SlottedPage::iter` after
+    /// any seeded insert/update/delete/compact sequence, and yields one
+    /// item per directory entry.
     #[test]
-    fn live_slots_matches_iter_under_random_churn() {
+    fn slots_matches_iter_under_random_churn() {
         let unformatted = vec![0u8; 256];
-        assert!(live_slots(&unformatted).is_empty());
-        assert!(live_slots(&[]).is_empty());
+        assert_eq!(slots(&unformatted).count(), 0);
+        assert_eq!(slots(&[]).count(), 0);
 
         let mut rng = tpcc_rand::Xoshiro256::seed_from_u64(30);
         let mut next = |n: u64| rng.uniform_inclusive(0, n - 1);
@@ -450,11 +450,14 @@ mod tests {
                     _ => p.compact(),
                 }
                 let want: Vec<(u16, Vec<u8>)> = p.iter().map(|(s, r)| (s, r.to_vec())).collect();
-                let got: Vec<(u16, Vec<u8>)> = live_slots(p.data)
-                    .into_iter()
-                    .map(|(s, (off, len))| (s, p.data[off..off + len].to_vec()))
+                let got: Vec<(u16, Vec<u8>)> = slots(p.data)
+                    .enumerate()
+                    .filter_map(|(s, e)| {
+                        e.map(|(off, len)| (s as u16, p.data[off..off + len].to_vec()))
+                    })
                     .collect();
                 assert_eq!(got, want);
+                assert_eq!(slots(p.data).count(), p.n_slots());
             }
         }
     }
