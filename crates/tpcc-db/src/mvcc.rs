@@ -27,8 +27,9 @@
 //! publishes the new snapshot timestamp.
 //!
 //! With `cfg.mvcc` off (the default) every wrapper compiles down to
-//! the raw storage call — the historical execution is preserved
-//! byte-for-byte.
+//! the raw storage call. The switch exists because capture is not
+//! free: with undo capture unconditional, `serial-wal` fell from
+//! 8 344 to 7 342 tps and New-Order p50 rose 162.7 → 184.4 µs.
 //!
 //! # Read side
 //!

@@ -52,7 +52,7 @@ impl Relation {
 
     /// Fixed tuple length in bytes (Table 1).
     #[must_use]
-    pub fn tuple_len(self) -> u64 {
+    pub const fn tuple_len(self) -> u64 {
         match self {
             Relation::Warehouse => 89,
             Relation::District => 95,

@@ -1621,7 +1621,7 @@ mod tests {
         // the whole range concurrently. Crabbing must keep every stripe
         // intact with no lost inserts.
         let disk = DiskManager::new(256);
-        let bm = BufferManager::new_sharded(disk, 256, Replacement::Lru, 8);
+        let bm = BufferManager::new_sharded(disk, 256, 8);
         let t = BTree::create(&bm);
         const PER: u64 = 2000;
         std::thread::scope(|scope| {

@@ -1,6 +1,6 @@
 //! The buffer manager: a fixed pool of frames over the simulated disk
-//! with pluggable replacement (LRU as the paper assumes, or Clock),
-//! dirty-page write-back and hit/miss accounting per file.
+//! with LRU replacement (as the paper assumes), dirty-page write-back
+//! and hit/miss accounting per file.
 //!
 //! # Fix / latch protocol
 //!
@@ -39,7 +39,7 @@
 //! form (see DESIGN.md §8).
 //!
 //! [`BufferManager::new`] builds a **single** shard, which preserves
-//! the exact global LRU/Clock behaviour the paper's miss-ratio figures
+//! the exact global LRU behaviour the paper's miss-ratio figures
 //! depend on — uncontended victim choice is identical to a serial pool.
 //! Parallel callers use [`BufferManager::new_sharded`].
 
@@ -55,13 +55,15 @@ use crate::wal::{page_deltas, redo_leaf_record, Wal, WalEntry};
 use tpcc_buffer::fxhash::FxHashMap;
 use tpcc_obs::{CounterHandle, Label, Obs, TraceHandle};
 
-/// Replacement policy for the frame pool.
+/// Replacement policy for the frame pool. The pool only runs LRU; the
+/// policy ablation (Clock, FIFO, LRU-2) runs on `tpcc-buffer`'s
+/// simulator. The enum survives only because the repo benchmark's probes
+/// pass it to [`BufferManager::new`]; it goes when that call drops the
+/// argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Replacement {
     /// Exact least-recently-used (the paper's assumption).
     Lru,
-    /// Clock / second chance.
-    Clock,
 }
 
 /// Buffer traffic counters for one file.
@@ -146,7 +148,6 @@ struct FileCounters {
 #[derive(Debug, Clone, Copy, Default)]
 struct FrameMeta {
     key: Option<(FileId, u32)>,
-    ref_bit: bool,
     /// LRU timestamp (monotone counter, per shard).
     last_used: u64,
 }
@@ -157,7 +158,6 @@ struct Shard {
     base: usize,
     meta: Vec<FrameMeta>,
     table: FxHashMap<(FileId, u32), u32>,
-    hand: usize,
     tick: u64,
     /// Per-file traffic, indexed by `FileId.0` (file ids are dense).
     per_file: Vec<BufferStats>,
@@ -230,7 +230,6 @@ enum Fixed<'a> {
 #[derive(Debug)]
 pub struct BufferManager {
     page_size: usize,
-    policy: Replacement,
     disk: Mutex<DiskManager>,
     /// All frames, outside the shard mutexes so page guards can borrow
     /// them directly. Shard `i` owns the contiguous range recorded in
@@ -267,13 +266,13 @@ pub struct BufferManager {
 
 impl BufferManager {
     /// Creates a pool of `capacity` frames over `disk`, as a single
-    /// shard — exact global LRU/Clock, identical to a serial pool.
+    /// shard — exact global LRU, identical to a serial pool.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     #[must_use]
-    pub fn new(disk: DiskManager, capacity: usize, policy: Replacement) -> Self {
-        Self::new_sharded(disk, capacity, policy, 1)
+    pub fn new(disk: DiskManager, capacity: usize, _policy: Replacement) -> Self {
+        Self::new_sharded(disk, capacity, 1)
     }
 
     /// Creates a pool of `capacity` frames split over `shards` latches
@@ -283,12 +282,7 @@ impl BufferManager {
     /// # Panics
     /// Panics if `capacity == 0`.
     #[must_use]
-    pub fn new_sharded(
-        disk: DiskManager,
-        capacity: usize,
-        policy: Replacement,
-        shards: usize,
-    ) -> Self {
+    pub fn new_sharded(disk: DiskManager, capacity: usize, shards: usize) -> Self {
         assert!(capacity > 0, "need at least one frame");
         let page_size = disk.page_size();
         let n = shards.clamp(1, capacity);
@@ -310,7 +304,6 @@ impl BufferManager {
                     base,
                     meta: vec![FrameMeta::default(); len],
                     table: FxHashMap::default(),
-                    hand: 0,
                     tick: 0,
                     per_file: Vec::new(),
                     counters: Vec::new(),
@@ -321,7 +314,6 @@ impl BufferManager {
             .collect();
         Self {
             page_size,
-            policy,
             disk: Mutex::new(disk),
             frames,
             shards,
@@ -765,7 +757,6 @@ impl BufferManager {
             let local = idx - shard.base;
             shard.table.remove(&(file, page));
             shard.meta[local].key = None;
-            shard.meta[local].ref_bit = false;
             let mut wal = self.wal.lock().expect("wal lock");
             self.disk.lock().expect("disk lock").free_page(file, page);
             if let Some(wal) = wal.as_mut() {
@@ -944,14 +935,13 @@ impl BufferManager {
             if let Some(&idx) = shard.table.get(&(file, page)) {
                 let idx = idx as usize;
                 let local = idx - shard.base;
-                shard.meta[local].ref_bit = true;
                 shard.meta[local].last_used = tick;
                 shard.stat_mut(file).hits += 1;
                 shard.counters_for(&self.obs, file).hits.add(1);
                 self.frames[idx].pins.fetch_add(1, Ordering::AcqRel);
                 return Fixed::Hit(idx);
             }
-            if let Some((idx, mut fd)) = self.claim_victim(&mut shard) {
+            if let Some((idx, mut fd)) = self.claim_victim(&shard) {
                 let local = idx - shard.base;
                 shard.stat_mut(file).misses += 1;
                 shard.counters_for(&self.obs, file).misses.add(1);
@@ -970,7 +960,6 @@ impl BufferManager {
                 }
                 shard.table.insert((file, page), idx as u32);
                 shard.meta[local].key = Some((file, page));
-                shard.meta[local].ref_bit = true;
                 shard.meta[local].last_used = tick;
                 self.frames[idx].pins.fetch_add(1, Ordering::AcqRel);
                 drop(shard);
@@ -1011,10 +1000,10 @@ impl BufferManager {
     /// Picks and claims a replacement victim: an unpinned frame whose
     /// latch can be taken without blocking. Runs under the shard mutex;
     /// uncontended (no pins, free latches) the choice is exactly the
-    /// serial LRU/Clock victim.
+    /// serial LRU victim.
     fn claim_victim<'a>(
         &'a self,
-        shard: &mut Shard,
+        shard: &Shard,
     ) -> Option<(usize, RwLockWriteGuard<'a, FrameData>)> {
         let n = shard.meta.len();
         let claim = |local: usize| -> Option<(usize, RwLockWriteGuard<'a, FrameData>)> {
@@ -1036,38 +1025,16 @@ impl BufferManager {
                 return Some(found);
             }
         }
-        match self.policy {
-            Replacement::Lru => {
-                // fast path: the exact LRU frame
-                if let Some(best) = (0..n).min_by_key(|&l| shard.meta[l].last_used) {
-                    if let Some(found) = claim(best) {
-                        return Some(found);
-                    }
-                }
-                // contended: oldest claimable frame
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&l| shard.meta[l].last_used);
-                order.into_iter().find_map(claim)
-            }
-            Replacement::Clock => {
-                for _ in 0..2 * n {
-                    let local = shard.hand;
-                    shard.hand = (shard.hand + 1) % n;
-                    if self.frames[shard.base + local].pins.load(Ordering::Acquire) != 0 {
-                        continue;
-                    }
-                    if shard.meta[local].ref_bit {
-                        shard.meta[local].ref_bit = false;
-                        continue;
-                    }
-                    if let Some(found) = claim(local) {
-                        return Some(found);
-                    }
-                }
-                // fallback: any claimable frame
-                (0..n).find_map(claim)
+        // fast path: the exact LRU frame
+        if let Some(best) = (0..n).min_by_key(|&l| shard.meta[l].last_used) {
+            if let Some(found) = claim(best) {
+                return Some(found);
             }
         }
+        // contended: oldest claimable frame
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&l| shard.meta[l].last_used);
+        order.into_iter().find_map(claim)
     }
 }
 
@@ -1235,18 +1202,18 @@ fn redo_reproduces(
 mod tests {
     use super::*;
 
-    fn manager(frames: usize, policy: Replacement) -> (BufferManager, FileId) {
+    fn manager(frames: usize) -> (BufferManager, FileId) {
         let mut disk = DiskManager::new(128);
         let f = disk.create_file();
         for _ in 0..16 {
             disk.allocate_page(f);
         }
-        (BufferManager::new(disk, frames, policy), f)
+        (BufferManager::new(disk, frames, Replacement::Lru), f)
     }
 
     #[test]
     fn hit_after_miss() {
-        let (bm, f) = manager(4, Replacement::Lru);
+        let (bm, f) = manager(4);
         bm.with_page(f, 0, |_| ());
         bm.with_page(f, 0, |_| ());
         let s = bm.stats(f);
@@ -1257,7 +1224,7 @@ mod tests {
 
     #[test]
     fn writes_survive_eviction() {
-        let (bm, f) = manager(2, Replacement::Lru);
+        let (bm, f) = manager(2);
         bm.with_page_mut(f, 0, |d| d[10] = 42);
         // evict page 0 by touching 2 others
         bm.with_page(f, 1, |_| ());
@@ -1269,7 +1236,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let (bm, f) = manager(2, Replacement::Lru);
+        let (bm, f) = manager(2);
         bm.with_page(f, 0, |_| ());
         bm.with_page(f, 1, |_| ());
         bm.with_page(f, 0, |_| ()); // 1 is now LRU
@@ -1281,7 +1248,7 @@ mod tests {
 
     #[test]
     fn flush_all_persists_dirty_pages() {
-        let (bm, f) = manager(4, Replacement::Clock);
+        let (bm, f) = manager(4);
         bm.with_page_mut(f, 3, |d| d[0] = 9);
         bm.flush_all();
         let mut buf = vec![0u8; 128];
@@ -1291,7 +1258,7 @@ mod tests {
 
     #[test]
     fn reset_stats_keeps_contents() {
-        let (bm, f) = manager(4, Replacement::Lru);
+        let (bm, f) = manager(4);
         bm.with_page(f, 0, |_| ());
         bm.reset_stats();
         bm.with_page(f, 0, |_| ());
@@ -1302,7 +1269,7 @@ mod tests {
 
     #[test]
     fn allocate_page_is_resident_and_dirty() {
-        let (bm, f) = manager(4, Replacement::Lru);
+        let (bm, f) = manager(4);
         let (page, ()) = bm.allocate_page(f, |d| d[0] = 5);
         let v = bm.with_page(f, page, |d| d[0]);
         assert_eq!(v, 5);
@@ -1310,7 +1277,7 @@ mod tests {
 
     #[test]
     fn guards_allow_concurrent_readers_and_crabbing() {
-        let (bm, f) = manager(4, Replacement::Lru);
+        let (bm, f) = manager(4);
         bm.with_page_mut(f, 0, |d| d[0] = 1);
         bm.with_page_mut(f, 1, |d| d[0] = 2);
         // two shared guards on the same page coexist
@@ -1336,7 +1303,7 @@ mod tests {
 
     #[test]
     fn exclusive_guard_blocks_writers_not_stats() {
-        let (bm, f) = manager(4, Replacement::Lru);
+        let (bm, f) = manager(4);
         {
             let mut g = bm.fix_exclusive(f, 0);
             g[0] = 77;
@@ -1349,7 +1316,7 @@ mod tests {
 
     #[test]
     fn free_fixed_returns_pages_for_reuse() {
-        let (bm, f) = manager(4, Replacement::Lru);
+        let (bm, f) = manager(4);
         let extent = bm.file_pages(f);
         bm.with_page_mut(f, 3, |d| d[0] = 9);
         let g = bm.fix_exclusive(f, 3);
@@ -1396,7 +1363,7 @@ mod tests {
 
     #[test]
     fn freed_page_delta_is_not_logged() {
-        let (mut bm, f) = manager(4, Replacement::Lru);
+        let (mut bm, f) = manager(4);
         bm.enable_wal();
         let mut g = bm.fix_exclusive(f, 2);
         g[0] = 55; // mutation that would normally produce a delta
@@ -1462,7 +1429,7 @@ mod tests {
 
     #[test]
     fn wal_skips_noop_mutations() {
-        let (mut bm, f) = manager(4, Replacement::Lru);
+        let (mut bm, f) = manager(4);
         bm.enable_wal();
         bm.with_page_mut(f, 0, |_| ()); // touches nothing
         bm.with_page_mut(f, 1, |d| d[0] = 9);
@@ -1499,24 +1466,13 @@ mod tests {
     }
 
     #[test]
-    fn clock_replacement_bounded() {
-        let (bm, f) = manager(3, Replacement::Clock);
-        for round in 0..50u32 {
-            bm.with_page(f, round % 8, |_| ());
-        }
-        let s = bm.stats(f);
-        assert_eq!(s.hits + s.misses, 50);
-        assert!(s.misses >= 8, "at least cold misses");
-    }
-
-    #[test]
     fn sharded_pool_partitions_frames_and_counts_globally() {
         let mut disk = DiskManager::new(128);
         let f = disk.create_file();
         for _ in 0..32 {
             disk.allocate_page(f);
         }
-        let bm = BufferManager::new_sharded(disk, 10, Replacement::Lru, 4);
+        let bm = BufferManager::new_sharded(disk, 10, 4);
         assert_eq!(bm.shard_count(), 4);
         assert_eq!(bm.capacity(), 10, "frames distributed, none lost");
         for p in 0..32u32 {
@@ -1542,7 +1498,7 @@ mod tests {
         for _ in 0..64 {
             disk.allocate_page(f);
         }
-        let bm = BufferManager::new_sharded(disk, 16, Replacement::Clock, 8);
+        let bm = BufferManager::new_sharded(disk, 16, 8);
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let bm = &bm;
@@ -1571,7 +1527,7 @@ mod tests {
         // one with transient I/O errors and torn writes on every few
         // write-backs, one clean — the retry loop must converge them
         let run = |plan: Option<FaultPlan>| {
-            let (mut bm, f) = manager(2, Replacement::Lru);
+            let (mut bm, f) = manager(2);
             let hook = plan.map(|p| bm.install_fault_hook(p));
             for round in 0..6u32 {
                 for p in 0..8u32 {
@@ -1597,7 +1553,7 @@ mod tests {
     #[test]
     fn crash_mid_run_freezes_the_wal_at_the_site() {
         // record pass: count sites and capture the full log
-        let (mut bm, f) = manager(2, Replacement::Lru);
+        let (mut bm, f) = manager(2);
         bm.enable_wal();
         let hook = bm.install_fault_hook(FaultPlan::observe(7));
         let workload = |bm: &BufferManager| {
@@ -1615,7 +1571,7 @@ mod tests {
         // crash pass at a mid-run site: the surviving log must be
         // byte-identical to the recorded durable prefix
         let pick = &records[records.len() / 2];
-        let (mut bm, f2) = manager(2, Replacement::Lru);
+        let (mut bm, f2) = manager(2);
         assert_eq!(f, f2);
         bm.enable_wal();
         let hook = bm.install_fault_hook(FaultPlan::crash_at(7, pick.seq));
@@ -1631,7 +1587,7 @@ mod tests {
 
     #[test]
     fn concurrent_shared_fixes_do_not_contend_on_content() {
-        let (bm, f) = manager(8, Replacement::Lru);
+        let (bm, f) = manager(8);
         bm.with_page_mut(f, 0, |d| d[0] = 123);
         std::thread::scope(|scope| {
             for _ in 0..4 {

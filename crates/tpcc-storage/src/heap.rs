@@ -483,7 +483,7 @@ mod tests {
     #[test]
     fn concurrent_inserts_land_without_loss() {
         let disk = DiskManager::new(256);
-        let bm = BufferManager::new_sharded(disk, 64, Replacement::Lru, 8);
+        let bm = BufferManager::new_sharded(disk, 64, 8);
         let heap = HeapFile::create(&bm);
         let rids: Vec<Vec<RecordId>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4u8)

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use tpcc_storage::{BTree, BufferManager, DiskManager, Replacement};
+use tpcc_storage::{BTree, BufferManager, DiskManager};
 
 /// xorshift64*: deterministic per-thread op streams.
 struct Rng(u64);
@@ -102,7 +102,7 @@ fn probe_sorted(bm: &BufferManager, tree: &BTree, rng: &mut Rng, keys: usize) {
 
 fn crabbing_matches_oracle(seed: u64, writers: u64, ops: usize, frames: usize, shards: usize) {
     let disk = DiskManager::new(4096);
-    let bm = BufferManager::new_sharded(disk, frames, Replacement::Lru, shards);
+    let bm = BufferManager::new_sharded(disk, frames, shards);
     let tree = BTree::create(&bm);
 
     let streams: Vec<Vec<Op>> = (0..writers)
@@ -209,7 +209,7 @@ fn fifo_churn_matches_oracle(
     // leaves and the drained end actually merges; at 4KiB the whole
     // window fits in two leaves that only ever borrow from each other
     let disk = DiskManager::new(256);
-    let bm = BufferManager::new_sharded(disk, frames, Replacement::Lru, shards);
+    let bm = BufferManager::new_sharded(disk, frames, shards);
     let tree = BTree::create(&bm);
 
     std::thread::scope(|scope| {
