@@ -18,11 +18,11 @@
 //!
 //! # Two-phase commit
 //!
-//! A cross-node transaction executes its home half through the normal
-//! MVCC write context and its remote writes through per-node
-//! *participant* records (raw heap writes with hand-recorded undo
-//! pre-images). Commit is presumed-abort 2PC over the nodes' redo
-//! logs:
+//! A cross-node transaction carries one MVCC write set per node it
+//! writes on: the home node's, and each remote node's, opened at its
+//! first write there. A remote stock or customer update is that node's
+//! ordinary row update, captured into that node's set. Commit is
+//! presumed-abort 2PC over the nodes' redo logs:
 //!
 //! 1. every participant logs `Prepare{ts}` (a durable-ack vote; a
 //!    crashed node's dropped record reads as "no"),
@@ -31,7 +31,7 @@
 //! 3. participants log their own `Decide` and publish their versions.
 //!
 //! An abort — clause 2.4.1.4 rollback, failed vote, or failed
-//! coordinator decide — compensates participant writes in reverse
+//! coordinator decide — rolls each participant's write set back
 //! *before* any `Decide{abort}` lands on that node's log, so a replay
 //! boundary after the decision always covers the compensations.
 //! Clause rollbacks leave **zero** 2PC records (presumed abort).
@@ -59,13 +59,11 @@ use std::time::{Duration, Instant};
 use crate::db::{DbConfig, TpccDb};
 use crate::driver::DriverConfig;
 use crate::loader;
-use crate::records::Row;
-use crate::terminal::{even_seats, lock_manager, run_terminals, Placement, Tally};
+use crate::terminal::{even_seats, lock_manager, run_terminals, Placement, Tally, Writes};
 use crate::txns::{self, CustomerSelector, NewOrderAborted, OrderLineReq};
 use tpcc_lock::{LockManager, Ts};
 use tpcc_obs::QuantileSketch;
-use tpcc_schema::relation::Relation;
-use tpcc_storage::{FaultHook, FaultPlan, FaultSite, RecordId, VersionKey, WalEntry};
+use tpcc_storage::{FaultHook, FaultPlan, FaultSite, WalEntry};
 
 pub use tpcc_cost::distributed::ItemPlacement;
 
@@ -133,8 +131,8 @@ pub struct ClusterConfig {
     /// Warehouses each node owns.
     pub warehouses_per_node: u64,
     /// Per-node database configuration (`warehouses` is overridden with
-    /// `warehouses_per_node`, and MVCC is forced on — participant
-    /// pre-images ride the undo store).
+    /// `warehouses_per_node`, and MVCC is forced on — a 2PC abort
+    /// unwinds every node's write set through its undo store).
     pub node_db: DbConfig,
     /// Workload mix and clause probabilities.
     pub driver: DriverConfig,
@@ -175,21 +173,6 @@ struct Node {
     inbox: [AtomicU64; MSG_KINDS],
 }
 
-/// One remote node's write-set inside a cross-node transaction: the
-/// undo token its pre-images were recorded under, the version-chain
-/// keys to publish at commit, and the before-images for compensation
-/// on abort. Remote writes bypass the home thread's MVCC write context
-/// (which belongs to the home node's transaction) and record undo by
-/// hand — [`Placement::remote_update`] is the only writer.
-pub(crate) struct Participant {
-    node: usize,
-    token: u64,
-    keys: Vec<VersionKey>,
-    /// `(relation, rid, before)` in execution order; compensation
-    /// replays in reverse.
-    ops: Vec<(Relation, RecordId, Vec<u8>)>,
-}
-
 /// A partitioned TPC-C cluster: N node databases, a router, a message
 /// layer, and a 2PC coordinator.
 pub struct Cluster {
@@ -220,8 +203,9 @@ impl Cluster {
         assert!(cfg.warehouses_per_node >= 1, "a node needs a warehouse");
         let mut node_cfg = cfg.node_db;
         node_cfg.warehouses = cfg.warehouses_per_node;
-        // participant pre-images and cross-node aborts ride the undo
-        // store, so the cluster always runs with MVCC on
+        // a failed vote or decide must unwind writes already made on
+        // every node, which only a capturing write set can, so the
+        // cluster always runs with MVCC on
         node_cfg.mvcc = true;
         let nodes = (0..cfg.nodes)
             .map(|n| Node {
@@ -340,30 +324,26 @@ impl Cluster {
         }
     }
 
-    /// Rolls a cross-node transaction back: compensate each
-    /// participant's writes in reverse, then — for a 2PC round
-    /// `decided = Some((ts, prepared))` that got as far as voting — log
-    /// `Decide{abort}` on the first `prepared` participants and the
-    /// home node. Compensations land **before** that node's abort
-    /// record, so a recovery boundary at the Decide always covers
-    /// them. Clause rollbacks pass `None`: presumed abort leaves no
-    /// 2PC trace.
-    fn abort_cross(&self, hn: usize, parts: &[Participant], decided: Option<(u64, usize)>) {
-        for (i, p) in parts.iter().enumerate() {
-            let rdb = &self.nodes[p.node].db;
-            for (rel, rid, before) in p.ops.iter().rev() {
-                let ok = rdb.heaps.for_relation(*rel).update(&rdb.bm, *rid, before);
-                assert!(ok, "participant compensation must land");
-            }
-            rdb.undo.abort(p.token, &p.keys);
+    /// Rolls a cross-node transaction back: roll each participant's
+    /// write set back, then — for a 2PC round `decided = Some((ts,
+    /// prepared))` that got as far as voting — log `Decide{abort}` on
+    /// the first `prepared` participants and the home node.
+    /// Compensations land **before** that node's abort record, so a
+    /// recovery boundary at the Decide always covers them. Clause
+    /// rollbacks pass `None`: presumed abort leaves no 2PC trace.
+    fn abort_cross(&self, writes: Writes, decided: Option<(u64, usize)>) {
+        let Writes { hn, home, parts } = writes;
+        for (i, (n, ws)) in parts.into_iter().enumerate() {
+            let rdb = &self.nodes[n].db;
+            rdb.abort_write(ws);
             if let Some((ts, _)) = decided.filter(|&(_, prepared)| i < prepared) {
-                self.msg(p.node, MsgKind::Decide);
+                self.msg(n, MsgKind::Decide);
                 let _ = rdb.bm.log_decide(ts, false);
                 self.abort_decides.fetch_add(1, Ordering::Relaxed);
             }
         }
         let h = &self.nodes[hn].db;
-        h.abort_write();
+        h.abort_write(home);
         if let Some((ts, _)) = decided {
             let _ = h.bm.log_decide(ts, false);
             self.abort_decides.fetch_add(1, Ordering::Relaxed);
@@ -374,7 +354,7 @@ impl Cluster {
     /// (`txns::new_order` on the cluster's placement): the order
     /// lands on the home node; each line's item is read from its owning
     /// node and each line's stock row is updated on its supplying node
-    /// (remote rows through a participant record). Returns
+    /// (through that node's write set). Returns
     /// `Ok(committed)` or the clause 2.4.1.4 rollback.
     ///
     /// # Errors
@@ -486,8 +466,6 @@ impl<'a> Routed<'a> {
 }
 
 impl Placement for Routed<'_> {
-    type Parts = Vec<Participant>;
-
     fn nodes(&self) -> usize {
         self.cl.nodes.len()
     }
@@ -514,53 +492,17 @@ impl Placement for Routed<'_> {
         self.cl.msg(to, kind);
     }
 
-    /// One remote row update inside a cross-node transaction: open the
-    /// node's participant record (and undo token) on first touch, then,
-    /// under one exclusive fix of the row, record its pre-image in the
-    /// owning node's undo store (version chain + compensation list) and
-    /// let `f` change it.
-    fn remote_update<T: Row, R>(
-        &self,
-        parts: &mut Vec<Participant>,
-        node: usize,
-        rid: RecordId,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> R {
-        let db = self.db(node);
-        let i = parts
-            .iter()
-            .position(|p| p.node == node)
-            .unwrap_or_else(|| {
-                parts.push(Participant {
-                    node,
-                    token: db.undo.begin(),
-                    keys: Vec::new(),
-                    ops: Vec::new(),
-                });
-                parts.len() - 1
-            });
-        let p = &mut parts[i];
-        let heap = db.heaps.for_relation(T::REL);
-        let key: VersionKey = (heap.file(), rid.to_u64());
-        heap.modify_with(&db.bm, rid, |row| {
-            let row = row.expect("participant update of a live row must land");
-            db.undo.record(p.token, key, Some(row));
-            p.keys.push(key);
-            p.ops.push((T::REL, rid, row.to_vec()));
-            T::recode(row, f)
-        })
-    }
-
     /// Commits a cross-node transaction: one-phase when only the home
     /// node wrote, presumed-abort 2PC otherwise. Returns whether the
     /// transaction committed (`false` = a vote or the coordinator's
     /// decide failed durably and everything was rolled back).
-    fn commit(&self, hn: usize, parts: Vec<Participant>) -> bool {
+    fn commit(&self, writes: Writes) -> bool {
         let cl = self.cl;
+        let (hn, parts) = (writes.hn, &writes.parts);
         let h = &cl.nodes[hn].db;
         if parts.is_empty() {
             // item-only cross traffic (partitioned reads) needs no 2PC
-            h.commit();
+            h.commit(writes.home);
             return true;
         }
         let ts = self.draw_ts();
@@ -569,36 +511,37 @@ impl Placement for Routed<'_> {
             .expect("coordinator map")
             .insert(ts, hn);
         // phase 1: every participant votes by durably logging Prepare
-        for (prepared, p) in parts.iter().enumerate() {
-            cl.msg(p.node, MsgKind::Prepare);
+        for (prepared, &(n, _)) in parts.iter().enumerate() {
+            cl.msg(n, MsgKind::Prepare);
             cl.prepares.fetch_add(1, Ordering::Relaxed);
-            if !cl.nodes[p.node].db.bm.log_prepare(ts) {
-                cl.abort_cross(hn, &parts, Some((ts, prepared)));
+            if !cl.nodes[n].db.bm.log_prepare(ts) {
+                cl.abort_cross(writes, Some((ts, prepared)));
                 return false;
             }
         }
         // commit point: the coordinator's durable Decide{commit}
         if !h.bm.log_decide(ts, true) {
-            cl.abort_cross(hn, &parts, Some((ts, parts.len())));
+            let prepared = parts.len();
+            cl.abort_cross(writes, Some((ts, prepared)));
             return false;
         }
         cl.commit_decides.fetch_add(1, Ordering::Relaxed);
-        h.finish_write();
+        h.publish(writes.home);
         // phase 2: deliver the decision; a participant's dropped Decide
         // leaves an in-doubt Prepare that recovery resolves against the
         // coordinator's log
-        for p in &parts {
-            cl.msg(p.node, MsgKind::Decide);
-            let rdb = &cl.nodes[p.node].db;
+        for (n, ws) in writes.parts {
+            cl.msg(n, MsgKind::Decide);
+            let rdb = &cl.nodes[n].db;
             let _ = rdb.bm.log_decide(ts, true);
-            rdb.undo.commit(p.token, &p.keys);
+            rdb.publish(ws);
         }
         true
     }
 
     /// A clause 2.4.1.4 rollback: presumed abort, no 2PC records.
-    fn abort(&self, home: usize, parts: Vec<Participant>) {
-        self.cl.abort_cross(home, &parts, None);
+    fn abort(&self, writes: Writes) {
+        self.cl.abort_cross(writes, None);
     }
 }
 
@@ -847,6 +790,7 @@ mod tests {
     use super::*;
     use crate::keys;
     use crate::records::{CustomerRec, StockRec};
+    use tpcc_schema::relation::Relation;
 
     /// Satellite 1, executed half: at 1 node the router never
     /// classifies anything as remote, under either placement.
@@ -1056,6 +1000,53 @@ mod tests {
             "remote stock restored byte-for-byte"
         );
         assert_eq!(cl.two_pc_counts(), (0, 0, 0), "presumed abort: no records");
+        assert!(cl.consistent());
+    }
+
+    /// A participant's writes are versioned and unwound exactly like the
+    /// home node's: a snapshot pinned on node 1 before a committed
+    /// cross-node New-Order still reads the old stock row while a fresh
+    /// pin reads the new one, and a rollback that already wrote on node
+    /// 1 leaves its undo store as it found it.
+    #[test]
+    fn participant_writes_are_versioned_and_unwound_like_home_writes() {
+        let cl = Cluster::new(ClusterConfig::small(2), 49);
+        let rdb = cl.node_db(1);
+        let line = |item, supply_warehouse| OrderLineReq {
+            item,
+            supply_warehouse,
+            quantity: 4,
+        };
+        let s_rid = rdb
+            .pk_lookup(Relation::Stock, keys::stock(0, 7))
+            .expect("stock");
+        let before = rdb.heaps.stock.get(&rdb.bm, s_rid).expect("live");
+        let pinned = rdb.snapshot();
+        let committed = cl.new_order_cluster(0, 2, 5, &[line(7, 1)]);
+        assert_eq!(committed, Ok(true));
+        let after = rdb.heaps.stock.get(&rdb.bm, s_rid).expect("live");
+        assert_ne!(after, before, "the remote stock row took the update");
+        let read = |snap| rdb.read_row_at(Relation::Stock, s_rid, Some(snap));
+        assert_eq!(read(&pinned), Some(before), "old pin reads the old row");
+        assert_eq!(
+            read(&rdb.snapshot()),
+            Some(after),
+            "fresh pin reads the new"
+        );
+        drop(pinned);
+
+        let undo = || (rdb.undo.chains(), rdb.undo.live_undo_bytes());
+        let undo_before = undo();
+        let unused = cl.node_db(0).config().items + 3;
+        let err = cl.new_order_cluster(0, 2, 6, &[line(9, 1), line(unused, 0)]);
+        assert_eq!(err, Err(NewOrderAborted { bad_line: 1 }));
+        assert_eq!(
+            cl.inbox_count(1, MsgKind::StockWrite),
+            2,
+            "it wrote on node 1"
+        );
+        assert_eq!(undo(), undo_before, "node 1's chains and bytes unwound");
+        assert_eq!(cl.two_pc_counts(), (1, 1, 0));
         assert!(cl.consistent());
     }
 

@@ -3,6 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::mvcc::WriteSet;
 use tpcc_obs::Obs;
 use tpcc_schema::relation::Relation;
 use tpcc_storage::{
@@ -237,17 +238,15 @@ impl TpccDb {
         }
     }
 
-    /// Marks a transaction boundary: appends a commit record when
-    /// logging is enabled and, under group commit, blocks until the
-    /// record is in the durably flushed prefix. Returns the
-    /// nanoseconds spent waiting on the commit ticket (0 otherwise).
-    pub(crate) fn commit(&self) -> u64 {
+    /// Commits `ws`: appends a commit record when logging is enabled
+    /// and, under group commit, blocks until the record is in the
+    /// durably flushed prefix.
+    pub(crate) fn commit(&self, ws: WriteSet) {
         let txn = self.clock.load(Ordering::Relaxed);
-        let wait = self.bm.log_commit(txn);
+        self.bm.log_commit(txn);
         // durable first, visible second: the undo clock publishes this
         // transaction's versions only after its commit record is logged
-        self.finish_write();
-        wait
+        self.publish(ws);
     }
 
     /// WAL-mode self-test: "crash" (pretend every unflushed dirty page

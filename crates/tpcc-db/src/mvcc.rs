@@ -1,16 +1,16 @@
-//! MVCC write/read plumbing over `tpcc_storage::undo`: the write-side
-//! transaction context (pre-image capture + in-transaction rollback)
-//! and the snapshot-aware read helpers.
+//! MVCC write/read plumbing over `tpcc_storage::undo`: the write set
+//! (pre-image capture + in-transaction rollback) and the
+//! snapshot-aware read helpers.
 //!
 //! # Write side
 //!
 //! A writer transaction (New-Order, Payment, Delivery) opens a
-//! thread-local `WriteCtx` via `TpccDb::begin_write`. Every write
-//! then goes through the wrappers below, which — only when `cfg.mvcc`
-//! is on and a context is open — capture two things *before* mutating
-//! the live bytes (a row update copies its pre-image from the bytes it
-//! holds write-latched, so reading the row and writing it take one
-//! fix):
+//! `WriteSet` on each node it writes on via `TpccDb::begin_write`
+//! and passes it to every write on that node's database. The wrappers
+//! below — only when `cfg.mvcc` is on — capture two things into the set
+//! *before* mutating the live bytes (a row update copies its pre-image
+//! from the bytes it holds write-latched, so reading the row and
+//! writing it take one fix):
 //!
 //! * a **version chain** pre-image ([`UndoStore::record`]) for rows
 //!   snapshot readers can reach (the versioned relations plus the
@@ -22,14 +22,18 @@
 //!   redo: replaying forward + compensating deltas reproduces the
 //!   abort, keeping crash sweeps exact).
 //!
-//! `TpccDb::commit` consumes the context after the commit record is
+//! `TpccDb::commit` consumes the set after the commit record is
 //! logged: [`UndoStore::commit`] stamps the pending chain entries and
-//! publishes the new snapshot timestamp.
+//! publishes the new snapshot timestamp. A cluster transaction carries
+//! one set per node it wrote on; a remote node's set is captured,
+//! unwound and published exactly like the home node's, only its commit
+//! record is a 2PC decision.
 //!
-//! With `cfg.mvcc` off (the default) every wrapper compiles down to
-//! the raw storage call. The switch exists because capture is not
-//! free: with undo capture unconditional, `serial-wal` fell from
-//! 8 344 to 7 342 tps and New-Order p50 rose 162.7 → 184.4 µs.
+//! With `cfg.mvcc` off (the default) the set is inert and every
+//! wrapper compiles down to the raw storage call. The switch exists
+//! because capture is not free: with undo capture unconditional,
+//! `serial-wal` fell from 8 344 to 7 342 tps and New-Order p50 rose
+//! 162.7 → 184.4 µs.
 //!
 //! # Read side
 //!
@@ -46,13 +50,14 @@
 //! the page it read, and commit, abort and GC touch chains alone), and
 //! shard mutexes are never held across a lock-manager wait (DESIGN.md
 //! §11).
-
-use std::cell::RefCell;
+//!
+//! [`UndoStore::record`]: tpcc_storage::undo::UndoStore::record
+//! [`UndoStore::commit`]: tpcc_storage::undo::UndoStore::commit
 
 use crate::db::TpccDb;
 use crate::records::Row;
 use tpcc_schema::relation::Relation;
-use tpcc_storage::undo::{Snapshot, UndoStore, VersionKey};
+use tpcc_storage::undo::{Snapshot, VersionKey};
 use tpcc_storage::{BTree, RecordId};
 
 /// Relations whose rows a snapshot reader can reach, and which
@@ -98,23 +103,17 @@ enum UndoOp {
     LastOrderUpsert { key: u64, prev: Option<u64> },
 }
 
-/// Per-thread state of the writer transaction currently executing.
-struct WriteCtx {
+/// One transaction's writes on one node's database: opened by
+/// `TpccDb::begin_write`, filled by the write helpers, consumed by
+/// `TpccDb::commit`, `TpccDb::publish` or `TpccDb::abort_write`.
+/// Inert (nothing is ever captured) with MVCC off.
+pub(crate) struct WriteSet {
     /// Undo-store token owning this transaction's pending entries.
     token: u64,
     /// Logical writes, in order, for reverse-replay on abort.
     ops: Vec<UndoOp>,
     /// Version-chain keys touched (stamped at commit, GC'd after).
     keys: Vec<VersionKey>,
-}
-
-thread_local! {
-    static CTX: RefCell<Option<WriteCtx>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` on the open write context, if any.
-fn with_ctx<R>(f: impl FnOnce(&mut WriteCtx) -> R) -> Option<R> {
-    CTX.with(|c| c.borrow_mut().as_mut().map(f))
 }
 
 impl TpccDb {
@@ -133,57 +132,41 @@ impl TpccDb {
         self.undo.pin()
     }
 
-    /// The undo store (bench/test introspection: GC footprint, clock).
-    #[must_use]
-    pub fn undo_store(&self) -> &UndoStore {
-        &self.undo
-    }
-
-    /// Opens the thread's write transaction (no-op with MVCC off).
-    /// Every writer path calls this before its first write; the
-    /// matching [`TpccDb::commit`] or [`TpccDb::abort_write`] closes
-    /// it.
-    pub(crate) fn begin_write(&self) {
-        if !self.cfg.mvcc {
-            return;
+    /// Opens a write transaction on this node: every writer path calls
+    /// this before its first write here and hands the set to each
+    /// write; [`TpccDb::commit`], [`TpccDb::publish`] or
+    /// [`TpccDb::abort_write`] closes it.
+    pub(crate) fn begin_write(&self) -> WriteSet {
+        WriteSet {
+            token: if self.cfg.mvcc { self.undo.begin() } else { 0 },
+            ops: Vec::new(),
+            keys: Vec::new(),
         }
-        let token = self.undo.begin();
-        CTX.with(|c| {
-            let prev = c.borrow_mut().replace(WriteCtx {
-                token,
-                ops: Vec::new(),
-                keys: Vec::new(),
-            });
-            debug_assert!(prev.is_none(), "nested write transaction");
-        });
     }
 
-    /// Commit-side half of the context: stamp + publish the pending
-    /// versions. Called from [`TpccDb::commit`] after the commit record
-    /// is logged; no-op when no context is open (MVCC off, loader,
-    /// read-only paths).
-    pub(crate) fn finish_write(&self) {
-        let Some(ctx) = CTX.with(|c| c.borrow_mut().take()) else {
-            return;
-        };
-        self.undo.commit(ctx.token, &ctx.keys);
+    /// Publishes `ws`'s pending versions: stamps them and advances the
+    /// snapshot clock. Called once the transaction's commit is durable
+    /// — after its commit record ([`TpccDb::commit`]) or its 2PC
+    /// decision.
+    pub(crate) fn publish(&self, ws: WriteSet) {
+        if self.cfg.mvcc {
+            self.undo.commit(ws.token, &ws.keys);
+        }
     }
 
-    /// Rolls the open write transaction back: replays the recorded ops
-    /// in reverse through the ordinary (WAL-logged) write path, then
-    /// drops the pending version-chain entries. Restoring the live
-    /// bytes *before* unhooking the chain keeps concurrent snapshot
-    /// readers correct at every instant of the abort.
+    /// Rolls `ws` back: replays the recorded ops in reverse through the
+    /// ordinary (WAL-logged) write path, then drops the pending
+    /// version-chain entries. Restoring the live bytes *before*
+    /// unhooking the chain keeps concurrent snapshot readers correct at
+    /// every instant of the abort.
     ///
     /// # Panics
-    /// Panics when no write transaction is open, or when a restoring
-    /// write fails (a bug: the rows were written by this very
-    /// transaction under its own locks).
-    pub(crate) fn abort_write(&self) {
-        let ctx = CTX
-            .with(|c| c.borrow_mut().take())
-            .expect("abort_write without begin_write");
-        for op in ctx.ops.iter().rev() {
+    /// Panics with MVCC off (an inert set has nothing to unwind), or
+    /// when a restoring write fails (a bug: the rows were written by
+    /// this very transaction under its own locks).
+    pub(crate) fn abort_write(&self, ws: WriteSet) {
+        assert!(self.cfg.mvcc, "abort_write needs MVCC's undo capture");
+        for op in ws.ops.iter().rev() {
             match op {
                 UndoOp::HeapUpdate { rel, rid, before } => {
                     let ok = self.heaps.for_relation(*rel).update(&self.bm, *rid, before);
@@ -207,7 +190,7 @@ impl TpccDb {
                 },
             }
         }
-        self.undo.abort(ctx.token, &ctx.keys);
+        self.undo.abort(ws.token, &ws.keys);
     }
 
     fn tree(&self, t: TreeId) -> &BTree {
@@ -220,14 +203,14 @@ impl TpccDb {
 
     /// Updates the live rows at `rids` of `rel` in place, in order, with
     /// one exclusive fix per run of rids on one page; `f` gets each
-    /// row's latched bytes. Under an open write transaction each row's
-    /// pre-image is captured (chain + undo op) from those bytes before
-    /// `f` runs.
+    /// row's latched bytes. Each row's pre-image is captured into `ws`
+    /// (chain + undo op) from those bytes before `f` runs.
     ///
     /// # Panics
     /// Panics when a rid names a dead row.
     pub(crate) fn update_rows(
         &self,
+        ws: &mut WriteSet,
         rel: Relation,
         rids: &[RecordId],
         mut f: impl FnMut(&mut [u8]),
@@ -236,7 +219,7 @@ impl TpccDb {
             .for_relation(rel)
             .modify_each(&self.bm, rids, |rid, row| {
                 let row = row.unwrap_or_else(|| panic!("no live {rel:?} row at {rid:?}"));
-                self.capture_pre_image(rel, rid, row);
+                self.capture_pre_image(ws, rel, rid, row);
                 f(row);
             });
     }
@@ -247,77 +230,76 @@ impl TpccDb {
     ///
     /// # Panics
     /// Panics when `rid` names a dead row.
-    pub(crate) fn update_row<T: Row, R>(&self, rid: RecordId, f: impl FnOnce(&mut T) -> R) -> R {
+    pub(crate) fn update_row<T: Row, R>(
+        &self,
+        ws: &mut WriteSet,
+        rid: RecordId,
+        f: impl FnOnce(&mut T) -> R,
+    ) -> R {
         self.heaps
             .for_relation(T::REL)
             .modify_with(&self.bm, rid, |row| {
                 let row = row.unwrap_or_else(|| panic!("no live {:?} row at {rid:?}", T::REL));
-                self.capture_pre_image(T::REL, rid, row);
+                self.capture_pre_image(ws, T::REL, rid, row);
                 T::recode(row, f)
             })
     }
 
-    /// Chains and records the pre-image of a row about to be updated,
-    /// when a write transaction is open.
-    fn capture_pre_image(&self, rel: Relation, rid: RecordId, row: &[u8]) {
+    /// Chains and records into `ws` the pre-image of a row about to be
+    /// updated.
+    fn capture_pre_image(&self, ws: &mut WriteSet, rel: Relation, rid: RecordId, row: &[u8]) {
         if !self.cfg.mvcc {
             return;
         }
-        with_ctx(|ctx| {
-            if versioned(rel) {
-                let key = (self.heaps.for_relation(rel).file(), rid.to_u64());
-                self.undo.record(ctx.token, key, Some(row));
-                ctx.keys.push(key);
-            }
-            let before = row.to_vec();
-            ctx.ops.push(UndoOp::HeapUpdate { rel, rid, before });
-        });
+        if versioned(rel) {
+            let key = (self.heaps.for_relation(rel).file(), rid.to_u64());
+            self.undo.record(ws.token, key, Some(row));
+            ws.keys.push(key);
+        }
+        let before = row.to_vec();
+        ws.ops.push(UndoOp::HeapUpdate { rel, rid, before });
     }
 
     /// Row insert, recorded for abort. Fresh rows need no version
     /// chain: snapshot readers reach rows only through index entries
     /// that existed at their pin, and an in-flight order's ids sort
     /// outside every pinned reader's scan range (DESIGN.md §11).
-    pub(crate) fn heap_insert(&self, rel: Relation, bytes: &[u8]) -> RecordId {
+    pub(crate) fn heap_insert(&self, ws: &mut WriteSet, rel: Relation, bytes: &[u8]) -> RecordId {
         let rid = self.heaps.for_relation(rel).insert(&self.bm, bytes);
         if self.cfg.mvcc {
-            with_ctx(|ctx| ctx.ops.push(UndoOp::HeapInsert { rel, rid }));
+            ws.ops.push(UndoOp::HeapInsert { rel, rid });
         }
         rid
     }
 
     /// Fresh primary-index entries `(key, rid)`, in ascending key
     /// order (one [`BTree::insert_sorted`] run), each recorded for abort.
-    pub(crate) fn index_insert(&self, tree: TreeId, entries: &[(u64, u64)]) {
+    pub(crate) fn index_insert(&self, ws: &mut WriteSet, tree: TreeId, entries: &[(u64, u64)]) {
         let prev = self.tree(tree).insert_sorted(&self.bm, entries);
         debug_assert!(
             prev.iter().all(Option::is_none),
             "pk index inserts must be fresh"
         );
         if self.cfg.mvcc {
-            with_ctx(|ctx| {
-                let ops = entries
-                    .iter()
-                    .map(|&(key, _)| UndoOp::IdxInsert { tree, key });
-                ctx.ops.extend(ops);
-            });
+            let ops = entries
+                .iter()
+                .map(|&(key, _)| UndoOp::IdxInsert { tree, key });
+            ws.ops.extend(ops);
         }
     }
 
     /// `last_order` value upsert. The index *value* is versioned (the
     /// only index whose values snapshot readers interpret), so the
     /// previous value is chained before the overwrite.
-    pub(crate) fn last_order_upsert(&self, key: u64, o_id: u64) {
+    pub(crate) fn last_order_upsert(&self, ws: &mut WriteSet, key: u64, o_id: u64) {
         if self.cfg.mvcc {
-            with_ctx(|ctx| {
-                let prev = self.idx.last_order.get(&self.bm, key);
-                let vkey = (self.idx.last_order.file(), key);
-                let enc = prev.map(u64::to_le_bytes);
-                self.undo
-                    .record(ctx.token, vkey, enc.as_ref().map(|b| b.as_slice()));
-                ctx.keys.push(vkey);
-                ctx.ops.push(UndoOp::LastOrderUpsert { key, prev });
-            });
+            let prev = self.idx.last_order.get(&self.bm, key);
+            let vkey = (self.idx.last_order.file(), key);
+            let enc = prev.map(u64::to_le_bytes);
+            self.undo
+                .record(ws.token, vkey, enc.as_ref().map(|b| b.as_slice()));
+            ws.keys.push(vkey);
+            ws.ops.push(UndoOp::LastOrderUpsert { key, prev });
         }
         self.idx.last_order.insert(&self.bm, key, o_id);
     }

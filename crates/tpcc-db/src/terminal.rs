@@ -56,11 +56,10 @@ use crate::cluster::MsgKind;
 use crate::db::TpccDb;
 use crate::driver::{DriverConfig, InputGen, TxnInput, TX_NAMES};
 use crate::keys;
-use crate::records::Row;
+use crate::mvcc::WriteSet;
 use crate::txns;
 use tpcc_lock::{LockKey, LockManager, LockMode, Ts, Txn, Wounded};
 use tpcc_obs::{CounterHandle, HistogramHandle, Label, Obs, QuantileSketch, TraceHandle};
-use tpcc_storage::RecordId;
 
 /// Lock spaces, one per logically lockable relation. (Item records are
 /// immutable after load and history is append-only with no readers, so
@@ -112,10 +111,6 @@ pub fn terminal_seed(seed: u64, terminal: u64) -> u64 {
 /// commits. Warehouse ids handed to a placement are global; it answers
 /// with the owning node and that node's local id.
 pub(crate) trait Placement: Sync {
-    /// The remote nodes' write-sets of one transaction (2PC
-    /// participants); `()` where nothing is ever remote.
-    type Parts: Default;
-
     /// Nodes (each a full [`TpccDb`]).
     fn nodes(&self) -> usize;
     /// Warehouses across all nodes.
@@ -132,23 +127,51 @@ pub(crate) trait Placement: Sync {
     fn lm(&self, node: usize) -> Option<&LockManager>;
     /// A timestamp unique across every node's lock manager.
     fn draw_ts(&self) -> Ts;
-    /// Delivers one message to node `to`.
-    fn msg(&self, to: usize, kind: MsgKind);
-    /// Updates a row on a node other than the transaction's home, as
-    /// [`TpccDb::update_row`] does on the home node, recording what
-    /// commit or abort of `parts` needs; returns what `f` returns.
-    fn remote_update<T: Row, R>(
-        &self,
-        parts: &mut Self::Parts,
-        node: usize,
-        rid: RecordId,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> R;
-    /// Commits the transaction homed on `home`; `false` when a 2PC
-    /// vote or decide failed and everything was rolled back.
-    fn commit(&self, home: usize, parts: Self::Parts) -> bool;
-    /// Rolls the transaction back on `home` and every participant.
-    fn abort(&self, home: usize, parts: Self::Parts);
+    /// Delivers one message to node `to`; nothing to deliver where
+    /// there is one node.
+    fn msg(&self, _to: usize, _kind: MsgKind) {}
+    /// Commits `writes`; `false` when a 2PC vote or decide failed and
+    /// everything was rolled back.
+    fn commit(&self, writes: Writes) -> bool;
+    /// Rolls `writes` back on every node it wrote on.
+    fn abort(&self, writes: Writes);
+}
+
+/// One transaction's write sets, one per node it writes on: the home
+/// node's, opened when the transaction begins, and each other node's,
+/// opened at its first write there.
+pub(crate) struct Writes {
+    /// The home node.
+    pub hn: usize,
+    /// The home node's set.
+    pub home: WriteSet,
+    /// The other nodes' sets, in first-write order (the 2PC
+    /// participants).
+    pub parts: Vec<(usize, WriteSet)>,
+}
+
+impl Writes {
+    /// Opens the home node's set.
+    pub(crate) fn begin(p: &impl Placement, hn: usize) -> Self {
+        Self {
+            hn,
+            home: p.db(hn).begin_write(),
+            parts: Vec::new(),
+        }
+    }
+
+    /// Node `node`'s set, opened on first touch.
+    pub(crate) fn on(&mut self, p: &impl Placement, node: usize) -> &mut WriteSet {
+        if node == self.hn {
+            return &mut self.home;
+        }
+        let i = self.parts.iter().position(|&(n, _)| n == node);
+        let i = i.unwrap_or_else(|| {
+            self.parts.push((node, p.db(node).begin_write()));
+            self.parts.len() - 1
+        });
+        &mut self.parts[i].1
+    }
 }
 
 /// The single-node placement: every row is on node 0, no message is
@@ -160,8 +183,6 @@ pub(crate) struct OneNode<'a> {
 }
 
 impl Placement for OneNode<'_> {
-    type Parts = ();
-
     fn nodes(&self) -> usize {
         1
     }
@@ -187,25 +208,13 @@ impl Placement for OneNode<'_> {
     fn draw_ts(&self) -> Ts {
         self.lm.map_or(0, LockManager::draw_ts)
     }
-    fn msg(&self, _: usize, _: MsgKind) {
-        unreachable!("one node sends no messages");
-    }
-    fn remote_update<T: Row, R>(
-        &self,
-        (): &mut (),
-        _: usize,
-        _: RecordId,
-        _: impl FnOnce(&mut T) -> R,
-    ) -> R {
-        unreachable!("one node has no remote rows");
-    }
     #[inline]
-    fn commit(&self, _: usize, (): ()) -> bool {
-        self.db.commit();
+    fn commit(&self, writes: Writes) -> bool {
+        self.db.commit(writes.home);
         true
     }
-    fn abort(&self, _: usize, (): ()) {
-        self.db.abort_write();
+    fn abort(&self, writes: Writes) {
+        self.db.abort_write(writes.home);
     }
 }
 
@@ -530,11 +539,11 @@ impl<'p, P: Placement> Terminal<'p, P> {
             };
             locks.lock(exclusive(hn, space::ORDER, keys::order(lw, d, o_id)))?;
             locks.lock(exclusive(hn, space::CUSTOMER, keys::customer(lw, d, c_id)))?;
-            // all locks held: open the undo context for this district's
-            // sub-transaction (no-op with MVCC off)
-            h.begin_write();
-            let delivered = h.delivery_district(lw, d, carrier);
-            h.commit();
+            // all locks held: open the write set of this district's
+            // sub-transaction
+            let mut ws = h.begin_write();
+            let delivered = h.delivery_district(&mut ws, lw, d, carrier);
+            h.commit(ws);
             Ok(delivered.is_some())
         });
         self.tally.deliveries += u64::from(delivered);

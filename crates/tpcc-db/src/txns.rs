@@ -4,12 +4,12 @@
 use crate::cluster::MsgKind;
 use crate::db::TpccDb;
 use crate::keys;
-use crate::mvcc::TreeId;
+use crate::mvcc::{TreeId, WriteSet};
 use crate::records::{
     CustomerRec, DistrictRec, HistoryRec, ItemRec, NewOrderRec, OrderLineRec, OrderRec, Row,
     StockRec, WarehouseRec,
 };
-use crate::terminal::{OneNode, Placement};
+use crate::terminal::{OneNode, Placement, Writes};
 use tpcc_schema::relation::Relation;
 use tpcc_storage::undo::Snapshot;
 use tpcc_storage::RecordId;
@@ -109,9 +109,8 @@ pub enum CustomerSelector {
 
 /// The New-Order write sequence (§2.2), once for every executor: the
 /// order lands on the home node of `w`; each line's item is read on its
-/// owning node and each line's stock row updated on its supplying node
-/// — through the home write context when that is the home node, as a
-/// 2PC participant write otherwise. `Ok(None)` is a failed 2PC vote or
+/// owning node and each line's stock row updated on its supplying node,
+/// through that node's write set. `Ok(None)` is a failed 2PC vote or
 /// decide (everything rolled back; never on one node).
 ///
 /// # Errors
@@ -136,15 +135,14 @@ pub(crate) fn new_order<P: Placement>(
             return Err(NewOrderAborted { bad_line });
         }
     }
-    h.begin_write();
-    let mut parts = P::Parts::default();
+    let mut ws = Writes::begin(p, hn);
 
     // 1. warehouse tax
     let warehouse: WarehouseRec = h.select(keys::warehouse(lw));
 
     // 2-3. district: read and bump next_o_id under one fix
     let d_rid = h.rid_of(Relation::District, keys::district(lw, d));
-    let (o_id, district_tax) = h.update_row(d_rid, |district: &mut DistrictRec| {
+    let (o_id, district_tax) = h.update_row(&mut ws.home, d_rid, |district: &mut DistrictRec| {
         district.next_o_id += 1;
         (u64::from(district.next_o_id - 1), district.tax)
     });
@@ -163,19 +161,21 @@ pub(crate) fn new_order<P: Placement>(
         ol_cnt: lines.len() as u8,
         all_local: u8::from(all_local),
     };
-    let o_heap_rid = h.heap_insert(Relation::Order, &order.encode());
+    let o_heap_rid = h.heap_insert(&mut ws.home, Relation::Order, &order.encode());
     h.index_insert(
+        &mut ws.home,
         TreeId::Order,
         &[(keys::order(lw, d, o_id), o_heap_rid.to_u64())],
     );
-    h.last_order_upsert(keys::last_order(lw, d, c), o_id);
+    h.last_order_upsert(&mut ws.home, keys::last_order(lw, d, c), o_id);
     let no = NewOrderRec {
         o_id: o_id as u32,
         d_id: d as u16,
         w_id: lw as u16,
     };
-    let no_rid = h.heap_insert(Relation::NewOrder, &no.encode());
+    let no_rid = h.heap_insert(&mut ws.home, Relation::NewOrder, &no.encode());
     h.index_insert(
+        &mut ws.home,
         TreeId::NewOrder,
         &[(keys::order(lw, d, o_id), no_rid.to_u64())],
     );
@@ -189,7 +189,7 @@ pub(crate) fn new_order<P: Placement>(
             // clause 2.4.1.4: discovered at the item read, after this
             // transaction already wrote — unwind home and remote
             // writes, leaving no 2PC trace (presumed abort)
-            p.abort(hn, parts);
+            p.abort(ws);
             return Err(NewOrderAborted { bad_line: number });
         }
         let own = p.item_node(hn, line.item);
@@ -220,12 +220,10 @@ pub(crate) fn new_order<P: Placement>(
             }
             stock.dist_info[d as usize].clone()
         };
-        let dist_info = if sn == hn {
-            h.update_row(s_rid, take)
-        } else {
+        if sn != hn {
             p.msg(sn, MsgKind::StockWrite);
-            p.remote_update(&mut parts, sn, s_rid, take)
-        };
+        }
+        let dist_info = sdb.update_row(ws.on(p, sn), s_rid, take);
 
         let amount = f64::from(line.quantity) * item.price;
         line_amounts.push(amount);
@@ -241,16 +239,16 @@ pub(crate) fn new_order<P: Placement>(
             amount,
             dist_info,
         };
-        let ol_rid = h.heap_insert(Relation::OrderLine, &ol.encode());
+        let ol_rid = h.heap_insert(&mut ws.home, Relation::OrderLine, &ol.encode());
         ol_entries.push((
             keys::order_line(lw, d, o_id, number as u64),
             ol_rid.to_u64(),
         ));
     }
-    h.index_insert(TreeId::OrderLine, &ol_entries);
+    h.index_insert(&mut ws.home, TreeId::OrderLine, &ol_entries);
     let subtotal: f64 = line_amounts.iter().sum();
     let total_amount = subtotal * (1.0 - customer.discount) * (1.0 + warehouse.tax + district_tax);
-    Ok(p.commit(hn, parts).then_some(NewOrderResult {
+    Ok(p.commit(ws).then_some(NewOrderResult {
         o_id,
         total_amount,
         line_amounts,
@@ -260,8 +258,8 @@ pub(crate) fn new_order<P: Placement>(
 /// The Payment write sequence (§2.2), once for every executor:
 /// warehouse/district ytd and the history row land on the home node of
 /// `w`, the customer update on the node of `cw` — a 2PC participant
-/// write when that is another node. `None` is a failed 2PC vote or
-/// decide (everything rolled back; never on one node).
+/// when that is another node. `None` is a failed 2PC vote or decide
+/// (everything rolled back; never on one node).
 pub(crate) fn payment<P: Placement>(
     p: &P,
     w: u64,
@@ -275,16 +273,17 @@ pub(crate) fn payment<P: Placement>(
     let h = p.db(hn);
     h.check_scale(lw, d, None);
     let _span = h.bm.obs().span("payment");
-    h.begin_write();
-    let mut parts = P::Parts::default();
+    let mut ws = Writes::begin(p, hn);
 
     // warehouse and district ytd: each read and updated under one fix
     let w_rid = h.rid_of(Relation::Warehouse, keys::warehouse(lw));
-    h.update_row(w_rid, |warehouse: &mut WarehouseRec| {
+    h.update_row(&mut ws.home, w_rid, |warehouse: &mut WarehouseRec| {
         warehouse.ytd += amount
     });
     let d_rid = h.rid_of(Relation::District, keys::district(lw, d));
-    h.update_row(d_rid, |district: &mut DistrictRec| district.ytd += amount);
+    h.update_row(&mut ws.home, d_rid, |district: &mut DistrictRec| {
+        district.ytd += amount
+    });
 
     let (cn, lcw) = p.locate(cw);
     let cdb = p.db(cn);
@@ -295,9 +294,7 @@ pub(crate) fn payment<P: Placement>(
         customer.payment_cnt += 1;
         customer.balance
     };
-    let balance = if cn == hn {
-        h.update_row(c_rid, charge)
-    } else {
+    if cn != hn {
         // the selection touched `rows_matched` remote rows (~3 by
         // name), each a message, plus one write-back — the model's
         // remote-payment call counts
@@ -305,8 +302,8 @@ pub(crate) fn payment<P: Placement>(
             p.msg(cn, MsgKind::CustomerRead);
         }
         p.msg(cn, MsgKind::CustomerWrite);
-        p.remote_update(&mut parts, cn, c_rid, charge)
-    };
+    }
+    let balance = cdb.update_row(ws.on(p, cn), c_rid, charge);
 
     let date = h.tick();
     let history = HistoryRec {
@@ -319,8 +316,8 @@ pub(crate) fn payment<P: Placement>(
         amount,
         data: "payment".into(),
     };
-    h.heap_insert(Relation::History, &history.encode());
-    p.commit(hn, parts).then_some(PaymentResult {
+    h.heap_insert(&mut ws.home, Relation::History, &history.encode());
+    p.commit(ws).then_some(PaymentResult {
         c_id: u64::from(customer.c_id),
         balance,
         rows_matched,
@@ -551,14 +548,14 @@ impl TpccDb {
     pub fn delivery(&self, w: u64, carrier_id: u8) -> DeliveryResult {
         self.check_scale(w, 0, None);
         let _span = self.bm.obs().span("delivery");
-        self.begin_write();
+        let mut ws = self.begin_write();
         let mut per_district = [None; 10];
         let mut delivered = 0;
         for d in 0..10u64 {
-            per_district[d as usize] = self.delivery_district(w, d, carrier_id);
+            per_district[d as usize] = self.delivery_district(&mut ws, w, d, carrier_id);
             delivered += u64::from(per_district[d as usize].is_some());
         }
-        self.commit();
+        self.commit(ws);
         DeliveryResult {
             delivered,
             per_district,
@@ -586,7 +583,13 @@ impl TpccDb {
     /// ten districts; the parallel driver runs each district as its own
     /// sub-transaction (locked and committed separately), which is how
     /// the spec frames deferred delivery anyway.
-    pub(crate) fn delivery_district(&self, w: u64, d: u64, carrier_id: u8) -> Option<u64> {
+    pub(crate) fn delivery_district(
+        &self,
+        ws: &mut WriteSet,
+        w: u64,
+        d: u64,
+        carrier_id: u8,
+    ) -> Option<u64> {
         // min-select on the New-Order index
         let (no_key, no_val) = self
             .idx
@@ -604,7 +607,7 @@ impl TpccDb {
 
         // order: read + set carrier under one fix
         let o_rid = self.rid_of(Relation::Order, keys::order(w, d, o_id));
-        let (c_id, ol_cnt) = self.update_row(o_rid, |order: &mut OrderRec| {
+        let (c_id, ol_cnt) = self.update_row(ws, o_rid, |order: &mut OrderRec| {
             order.carrier_id = carrier_id;
             (order.c_id, order.ol_cnt)
         });
@@ -619,7 +622,7 @@ impl TpccDb {
             true
         });
         let mut total = 0.0;
-        self.update_rows(Relation::OrderLine, &rids, |row| {
+        self.update_rows(ws, Relation::OrderLine, &rids, |row| {
             total += OrderLineRec::recode(row, |ol| {
                 ol.delivery_d = date;
                 ol.amount
@@ -628,7 +631,7 @@ impl TpccDb {
 
         // customer: credit the balance
         let c_rid = self.rid_of(Relation::Customer, keys::customer(w, d, u64::from(c_id)));
-        self.update_row(c_rid, |customer: &mut CustomerRec| {
+        self.update_row(ws, c_rid, |customer: &mut CustomerRec| {
             customer.balance += total;
             customer.delivery_cnt += 1;
         });

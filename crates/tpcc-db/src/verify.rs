@@ -267,17 +267,14 @@ mod tests {
         // reference: the same load, but only the first order ever runs
         let ref_db = loader::load(cfg, 91);
         ref_db.new_order(0, 0, 5, &lines);
-        ref_db.commit();
         ref_db.flush();
 
         // torn run: a second order starts but the log is cut mid-flight,
         // losing its commit marker and a suffix of its page deltas
         let mut db = loader::load(cfg, 91);
         db.new_order(0, 0, 5, &lines);
-        db.commit();
         let committed = db.wal_stats().expect("wal enabled").0;
         db.new_order(0, 0, 6, &lines);
-        db.commit();
         let full = db.bm.take_wal().expect("wal enabled");
         let mut torn = full.clone();
         assert!(full.len() > committed + 2, "second txn logged real work");

@@ -470,19 +470,16 @@ impl BufferManager {
 
     /// Appends a commit marker for logical transaction `txn` and, under
     /// group commit, blocks until the marker is in the durably flushed
-    /// prefix. Returns the nanoseconds spent waiting on the commit
-    /// ticket (0 under synchronous durability or inline group commit).
-    pub fn log_commit(&self, txn: u64) -> u64 {
+    /// prefix (the log manager records the wait in `commit_wait_ns`).
+    pub fn log_commit(&self, txn: u64) {
         if !self.wal_on.load(Ordering::Acquire) {
-            return 0;
+            return;
         }
         if let Some(lm) = &self.logmgr {
-            return lm.commit(txn).wait_ns;
-        }
-        if let Some(wal) = self.wal.lock().expect("wal lock").as_mut() {
+            lm.commit(txn);
+        } else if let Some(wal) = self.wal.lock().expect("wal lock").as_mut() {
             wal.append(WalEntry::Commit { txn });
         }
-        0
     }
 
     /// Appends a 2PC `Prepare` record for global transaction `txn` and

@@ -110,12 +110,6 @@ impl GroupCommitConfig {
     }
 }
 
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        Self::new(100, 32, 100)
-    }
-}
-
 /// What one durable commit observed on its way out — the property the
 /// wakeup test asserts: `durable_at_wake >= ticket` for every commit.
 #[derive(Debug, Clone, Copy)]
@@ -125,8 +119,6 @@ pub struct CommitReceipt {
     /// Durable commit count when the waiter was released (0 when the
     /// run crashed or the log was detached before durability).
     pub durable_at_wake: u64,
-    /// Nanoseconds spent blocked on the ticket (0 in inline mode).
-    pub wait_ns: u64,
 }
 
 /// Counter snapshot of the pipeline.
@@ -169,7 +161,6 @@ type WalSlot<'a> = MutexGuard<'a, Option<Wal>>;
 const LOST: CommitReceipt = CommitReceipt {
     ticket: 0,
     durable_at_wake: 0,
-    wait_ns: 0,
 };
 
 /// The group-commit pipeline: ticket issue on the commit path and the
@@ -209,12 +200,6 @@ impl LogManager {
             entries_flushed: AtomicU64::new(0),
             obs: Mutex::new(GcObs::default()),
         }
-    }
-
-    /// The configured knobs.
-    #[must_use]
-    pub fn config(&self) -> GroupCommitConfig {
-        self.cfg
     }
 
     /// Resolves observability handles against `obs` (call again after
@@ -258,7 +243,6 @@ impl LogManager {
             return CommitReceipt {
                 ticket,
                 durable_at_wake,
-                wait_ns: 0,
             };
         }
         let start = Instant::now();
@@ -286,7 +270,6 @@ impl LogManager {
         CommitReceipt {
             ticket,
             durable_at_wake,
-            wait_ns,
         }
     }
 
