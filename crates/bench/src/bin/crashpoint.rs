@@ -1,11 +1,12 @@
 //! Crash-point sweep: enumerate every fault site a seeded workload
 //! passes through and prove recovery converges at each one.
 //!
-//! Three passes, each emitting one JSON object per line to
+//! Seven passes, each emitting one JSON object per line to
 //! `results/crashpoints.jsonl` (and stdout):
 //!
 //! 1. `sweep` — the full enumerated crash sweep: record every WAL
-//!    append / page free / write-back / miss-load site, verify each
+//!    append / flush / page free / write-back / miss-load site (each
+//!    commit forces its own flush), verify each
 //!    site's frozen-WAL crash image against a serial oracle replayed
 //!    to the last complete commit (contents, free lists, footprints),
 //!    cross-check sampled prefixes through the literal `try_recover`
@@ -30,6 +31,11 @@
 //!    retry must absorb every fault, the consistency checks must pass,
 //!    and crash recovery must still reproduce the flushed image.
 //! 6. `boundaries` — the WAL truncated at every record boundary.
+//! 7. `mvcc_boundaries` — the same under MVCC with spec rollbacks: a
+//!    cut inside an aborting New-Order leaves its forward deltas on
+//!    the device without their compensations, which recovery must
+//!    discard. The sweeps above never crash there: a durable prefix
+//!    ends at a flush, which follows a commit or the end of the run.
 //!
 //! Exits non-zero if any site fails to recover, fewer than 200 sites
 //! are enumerated, or the soft-fault run diverges — CI runs this
@@ -101,7 +107,7 @@ fn main() {
         line
     };
 
-    // 1. enumerated crash sweep (synchronous durability)
+    // 1. enumerated crash sweep (each commit forces its own flush)
     let sweep = crashpoint_sweep(&cfg);
     emit(&sweep_line("sweep", &sweep));
 
@@ -171,15 +177,21 @@ fn main() {
             .bool("recovered", recovered),
     );
 
-    // 6. every WAL record boundary
-    let boundaries = verify_record_boundaries(&cfg);
-    emit(
-        pass("boundaries")
-            .uint("boundaries", boundaries.boundaries)
-            .uint("committed_prefixes", boundaries.committed_prefixes)
-            .uint("recover_checks", boundaries.recover_checks)
-            .uint("failures", boundaries.failures),
-    );
+    // 6. every WAL record boundary, then 7. the same under MVCC and
+    // spec rollbacks
+    let mut boundary_pass = |name: &str, cfg: &SweepConfig| {
+        let report = verify_record_boundaries(cfg);
+        emit(
+            pass(name)
+                .uint("boundaries", report.boundaries)
+                .uint("committed_prefixes", report.committed_prefixes)
+                .uint("recover_checks", report.recover_checks)
+                .uint("failures", report.failures),
+        );
+        report
+    };
+    let boundaries = boundary_pass("boundaries", &cfg);
+    let mvcc_boundaries = boundary_pass("mvcc_boundaries", &mvcc_cfg);
 
     let ok = sweep.all_recovered()
         && sweep.sites_total >= 200
@@ -192,14 +204,15 @@ fn main() {
         && soft.faults.retries > 0
         && consistent
         && recovered
-        && boundaries.failures == 0;
+        && boundaries.failures == 0
+        && mvcc_boundaries.failures == 0;
     if !ok {
         eprintln!("crashpoint: FAILED (see results/crashpoints.jsonl)");
         std::process::exit(1);
     }
     eprintln!(
         "crashpoint: {} sites + {} under group commit ({} flush boundaries) \
-         + {} under MVCC ({} undo appends), {} prefixes, {} boundaries, \
+         + {} under MVCC ({} undo appends), {} prefixes, {} + {} (MVCC) boundaries, \
          {} cdc prefixes rebuilt ({} checkpoints, {} live crashes) — all recovered",
         sweep.sites_total,
         gc_sweep.sites_total,
@@ -208,6 +221,7 @@ fn main() {
         mvcc_sweep.per_site[FaultSite::UndoAppend.idx()],
         sweep.distinct_prefixes,
         boundaries.boundaries,
+        mvcc_boundaries.boundaries,
         cdc.committed_prefixes,
         cdc.checkpoints_taken,
         cdc.live_crashes

@@ -125,9 +125,10 @@ pub struct Counters {
     executed: [u64; 5],
     /// Transaction latency per type in nanoseconds.
     latency_ns: [QuantileSketch; 5],
-    /// Group-commit pipeline counters (0 under synchronous durability).
+    /// Group-commit pipeline counters (0 without group commit).
     pub gc: GroupCommitStats,
-    /// Commit waits in nanoseconds (empty under synchronous durability).
+    /// Commit waits in nanoseconds (empty without threaded group
+    /// commit: no other schedule waits).
     pub commit_wait_ns: QuantileSketch,
     /// CDC subscriber lag before each poll, in WAL entries (empty
     /// unless a pipeline polls).
@@ -179,8 +180,6 @@ impl Counters {
             gc: GroupCommitStats {
                 flushes: self.gc.flushes - mark.gc.flushes,
                 commits_flushed: self.gc.commits_flushed - mark.gc.commits_flushed,
-                cap_flushes: self.gc.cap_flushes - mark.gc.cap_flushes,
-                entries_flushed: self.gc.entries_flushed - mark.gc.entries_flushed,
             },
             commit_wait_ns: self.commit_wait_ns.delta_since(&mark.commit_wait_ns),
             cdc_lag_entries: self.cdc_lag_entries.delta_since(&mark.cdc_lag_entries),

@@ -8,7 +8,8 @@ use tpcc_obs::Obs;
 use tpcc_schema::relation::Relation;
 use tpcc_storage::{
     BTree, BufferManager, BufferStats, DiskManager, FaultHook, FaultPlan, FaultStats, FileId,
-    GroupCommitConfig, GroupCommitStats, HeapFile, RecordId, RecoveryError, UndoStore, Wal,
+    GroupCommitConfig, GroupCommitStats, HeapFile, LogManager, RecordId, RecoveryError, UndoStore,
+    Wal,
 };
 
 /// Scale and resource configuration.
@@ -47,10 +48,12 @@ pub struct DbConfig {
     /// workload in the paper's I/O-bound operating region, where
     /// multiple terminals overlap their I/O waits.
     pub io_delay_us: u64,
-    /// Group-commit pipeline knobs (`None` = synchronous durability,
-    /// the default). Requires `enable_wal`; applied after load like
-    /// `io_delay_us`, so load-time traffic is not batched. See
-    /// `tpcc_storage::logmgr` for the leader-follower ticket protocol.
+    /// Group-commit pipeline knobs. `None` (the default) makes each
+    /// commit force its own flush before it returns: the inline
+    /// schedule with a batch of one, which never waits. Requires
+    /// `enable_wal`; applied after load like `io_delay_us`. See
+    /// `tpcc_storage::logmgr` for the schedules and the leader-follower
+    /// ticket protocol.
     pub group_commit: Option<GroupCommitConfig>,
     /// Enable MVCC snapshot reads (off by default). The switch gates
     /// undo capture, which cost `serial-wal` 8 344 → 7 342 tps when
@@ -239,8 +242,9 @@ impl TpccDb {
     }
 
     /// Commits `ws`: appends a commit record when logging is enabled
-    /// and, under group commit, blocks until the record is in the
-    /// durably flushed prefix.
+    /// and makes it durable on the log's schedule — a flush of its own
+    /// without group commit, or, under threaded group commit, a wait
+    /// until a leader's flush covers it.
     pub(crate) fn commit(&self, ws: WriteSet) {
         let txn = self.clock.load(Ordering::Relaxed);
         self.bm.log_commit(txn);
@@ -278,9 +282,9 @@ impl TpccDb {
     /// # Panics
     /// Panics if the database was not loaded with `enable_wal`.
     pub fn try_crash_recovery_check(&mut self) -> Result<bool, RecoveryError> {
-        // quiesce the group-commit tail first: the check compares
-        // against a clean flush of the live pool, so every appended
-        // commit must be inside the durable prefix
+        // quiesce the log tail first: the check compares against a
+        // clean flush of the live pool, so every appended commit must
+        // be inside the durable prefix
         self.bm.flush_log();
         let wal = self
             .bm
@@ -298,7 +302,7 @@ impl TpccDb {
         let equal = self.bm.with_disk(|disk| recovered.contents_equal(disk));
         // re-arm for continued use: a handle copy of the flushed disk
         self.checkpoint = Some(self.bm.disk_snapshot());
-        self.bm.enable_wal();
+        self.bm.enable_wal_with(self.cfg.group_commit);
         Ok(equal)
     }
 
@@ -327,24 +331,17 @@ impl TpccDb {
         self.bm.with_wal(|w| (w.len(), w.redo_bytes(), w.commits()))
     }
 
-    /// Durable-prefix statistics, when logging is enabled:
-    /// `(durable entries, durable commits)`. Equal to the totals under
-    /// synchronous durability; under group commit the volatile tail is
-    /// excluded.
-    #[must_use]
-    pub fn wal_durable_stats(&self) -> Option<(usize, u64)> {
-        self.bm.with_wal(|w| (w.durable_len(), w.durable_commits()))
-    }
-
     /// Group-commit pipeline counters (`None` when group commit is
-    /// off): flushes, commits flushed, cap-triggered flushes.
+    /// off, where every commit is its own flush): flushes and commits
+    /// flushed since logging was last armed.
     #[must_use]
     pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
-        self.bm.group_commit().map(|lm| lm.stats())
+        self.cfg.group_commit?;
+        self.bm.log_manager().map(LogManager::stats)
     }
 
-    /// Flushes any pending group-commit tail (quiesce points; no-op
-    /// under synchronous durability).
+    /// Flushes any pending WAL tail (quiesce points; no-op when every
+    /// commit already forced its own flush).
     pub fn flush_log(&self) {
         self.bm.flush_log();
     }

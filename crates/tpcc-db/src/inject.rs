@@ -28,22 +28,25 @@
 //! the per-record / per-byte truncation sweeps in the test suite)
 //! tractable.
 //!
-//! # Group-commit (flush-boundary) sweeps
+//! # Flush-boundary sweeps
 //!
-//! Setting `SweepConfig::db.group_commit` runs the recorded workload
-//! under deferred durability: commits land in a volatile tail and only
-//! a flush ([`FaultSite::WalFlush`](tpcc_storage::FaultSite) sites)
-//! advances the durable watermark. The harness forces the
-//! deterministic **inline** flush schedule (flush every `max_batch`
+//! Records land in a volatile tail and only a flush
+//! ([`FaultSite::WalFlush`](tpcc_storage::FaultSite) sites) advances
+//! the durable watermark, so recorded `wal_len` values are durable
+//! watermarks: a crash at any site between two flushes loses the whole
+//! tail. Without group commit each commit forces its own flush; setting
+//! `SweepConfig::db.group_commit` batches them, and the harness forces
+//! the deterministic **inline** flush schedule (flush every `max_batch`
 //! commits on the committing thread) so site numbering stays identical
-//! run to run. Recorded `wal_len` values are then durable watermarks:
-//! a crash at any site between two flushes loses the whole tail — the
-//! sweep proves recovery converges at every flush boundary, and the
-//! live re-runs prove the frozen durable prefix byte-matches the
-//! recorded one (a flushed commit is never lost, an unflushed one
-//! always is). The oracle always runs synchronously — it is advanced
-//! by *durable* commit count, and a recovered image must match the
-//! serial execution of exactly those transactions either way.
+//! run to run. The sweep proves recovery converges at every flush
+//! boundary, and the live re-runs prove the frozen durable prefix
+//! byte-matches the recorded one (a flushed commit is never lost, an
+//! unflushed one always is). A flush follows a commit or the end of
+//! the run, so a durable prefix never ends between two writes of one
+//! transaction; [`verify_record_boundaries`] cuts there. The
+//! oracle always flushes per commit — it is advanced by *durable*
+//! commit count, and a recovered image must match the serial execution
+//! of exactly those transactions either way.
 
 use tpcc_schema::relation::Relation;
 use tpcc_storage::cdc::{CdcCheckpoint, CdcSubscriber};
@@ -207,7 +210,7 @@ impl OracleCursor {
         let mut dbcfg = cfg.db;
         dbcfg.enable_wal = true;
         // the oracle is advanced by durable commit count; its own log
-        // can stay synchronous regardless of the sweep's flush schedule
+        // can flush per commit regardless of the sweep's flush schedule
         dbcfg.group_commit = None;
         let db = loader::load(dbcfg, cfg.load_seed);
         let driver = Driver::new(&db, cfg.driver, cfg.driver_seed);
@@ -369,11 +372,9 @@ impl PrefixVerifier {
             "call verify_prefix(len) before the literal cross-check"
         );
         let mut prefix = self.wal.clone();
+        // the recording ended on a flush, so the cut log is durable up
+        // to the truncation point and `try_recover` replays all of it
         prefix.truncate(len);
-        // the torn log IS the durable log: pin the watermark to the
-        // truncation point so `try_recover` replays the whole prefix
-        // even when the recording ran under deferred durability
-        prefix.set_deferred(false);
         self.recover_checks += 1;
         match prefix.try_recover(self.checkpoint.snapshot()) {
             Ok(recovered) => self.matches_oracle(&recovered),

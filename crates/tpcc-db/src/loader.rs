@@ -29,10 +29,7 @@ pub fn load(cfg: DbConfig, seed: u64) -> TpccDb {
     db.reset_stats();
     if cfg.enable_wal {
         db.checkpoint = Some(db.bm.disk_snapshot());
-        db.bm.enable_wal();
-        if let Some(gc) = cfg.group_commit {
-            db.bm.enable_group_commit(gc);
-        }
+        db.bm.enable_wal_with(cfg.group_commit);
     }
     // the simulated I/O service time applies to the measured workload
     // only, never to the (serial, write-mostly) load itself

@@ -271,7 +271,9 @@ mod tests {
         db.flush_log();
 
         let (entries, _, commits) = db.wal_stats().expect("WAL on");
-        let (durable_len, durable_commits) = db.wal_durable_stats().expect("WAL on");
+        let (durable_len, durable_commits) = db
+            .with_wal(|w| (w.durable_len(), w.durable_commits()))
+            .expect("WAL on");
         assert_eq!(durable_len, entries, "quiesced: no volatile tail");
         assert_eq!(durable_commits, commits, "every commit is durable");
 

@@ -252,6 +252,32 @@ mod tests {
         assert!(db.verify_consistency().is_consistent());
     }
 
+    /// `crash_recovery_check` re-arms the log with a new log manager;
+    /// commits after it still reach the recorder attached before it.
+    #[test]
+    fn commits_after_a_recovery_check_reach_the_recorder() {
+        let mut cfg = DbConfig::small();
+        cfg.enable_wal = true;
+        let mut db = loader::load(cfg, 53);
+        let recorder = std::sync::Arc::new(tpcc_obs::MemoryRecorder::new());
+        db.set_obs(tpcc_obs::Obs::new(recorder.clone()));
+        let mut driver = Driver::new(&db, DriverConfig::default(), 54);
+        let _ = driver.run(&mut db, 50);
+        assert!(db.crash_recovery_check());
+        let flushes = recorder.counter_total("wal_flushes");
+        assert!(flushes > 0, "each commit flushed before the check");
+
+        let _ = driver.run(&mut db, 50);
+        let commits = db.wal_stats().expect("re-armed").2;
+        assert!(commits > 0);
+        assert_eq!(
+            recorder.counter_total("wal_flushes") - flushes,
+            commits,
+            "every commit since the re-arm flushed into the recorder"
+        );
+        assert!(db.crash_recovery_check());
+    }
+
     #[test]
     fn recovery_replays_only_to_the_last_complete_commit() {
         let mut cfg = DbConfig::small();

@@ -33,9 +33,9 @@ fn tight_cfg() -> DbConfig {
     cfg
 }
 
-/// `tight_cfg` under deferred durability: commits gather in a volatile
-/// tail and every fourth one flushes (inline schedule), so the sweep
-/// enumerates `wal_flush` sites — the flush-boundary crash points.
+/// `tight_cfg` under group commit: commits gather in a volatile tail
+/// and every fourth one flushes (inline schedule), so one flush — one
+/// durable crash image — covers four commits.
 fn group_commit_cfg() -> DbConfig {
     let mut cfg = tight_cfg();
     cfg.group_commit = Some(GroupCommitConfig::inline_every(4));
@@ -90,7 +90,7 @@ fn flush_boundary_sweep_recovers_at_every_site() {
     );
     assert!(
         report.distinct_prefixes < report.sites_total as usize,
-        "deferred durability must coalesce crash images between flushes"
+        "group commit must coalesce crash images between flushes"
     );
     assert_eq!(report.live_reruns, 2);
 }
@@ -143,6 +143,41 @@ fn record_boundary_sweep_5k_txns_never_fails() {
     assert!(report.recover_checks > 0);
 }
 
+/// Record boundaries under MVCC with spec rollbacks. An undo-backed
+/// New-Order abort logs forward deltas, then their compensations, and
+/// no commit; a cut between the two leaves the forward deltas durable
+/// and the compensations lost. Recovery must stop at the last commit
+/// before them. The crash sweeps never cut there: each of their
+/// durable prefixes ends at a flush, which follows a commit or the
+/// end of the run.
+#[test]
+fn record_boundary_sweep_cuts_mvcc_aborts_between_their_deltas() {
+    let mut dbcfg = tight_cfg();
+    dbcfg.mvcc = true;
+    let mut cfg = SweepConfig::new(dbcfg, 400, 7);
+    cfg.driver = DriverConfig::default().with_spec_rollbacks();
+
+    // the workload holds aborts that logged at least two records and
+    // no commit: some boundary falls inside each of them
+    let mut db = loader::load(dbcfg, cfg.load_seed);
+    let mut driver = tpcc_db::Driver::new(&db, cfg.driver, cfg.driver_seed);
+    let mut logged_aborts = 0;
+    for _ in 0..cfg.transactions {
+        let (entries, _, commits) = db.wal_stats().expect("WAL on");
+        let report = driver.run(&mut db, 1);
+        let (after, _, commits_after) = db.wal_stats().expect("WAL on");
+        if report.rollbacks > 0 {
+            assert_eq!(commits_after, commits, "an abort commits nothing");
+            logged_aborts += u64::from(after >= entries + 2);
+        }
+    }
+    assert!(logged_aborts > 0, "no abort wrote before it rolled back");
+
+    let report = verify_record_boundaries(&cfg);
+    assert_eq!(report.failures, 0, "{report:?}");
+    assert_eq!(report.boundaries, report.wal_entries + 1);
+}
+
 /// Coarse-stepped torn-tail sweep (the per-byte variant is the
 /// `--ignored` stress test below): tearing the encoded log mid-record
 /// discards the partial record and recovers to the previous boundary.
@@ -167,8 +202,8 @@ fn stress_torn_tail_every_byte() {
 
 /// Stress: the full crash-point sweep at 5000 transactions — the
 /// CI acceptance gate (every site recovers, ≥ 200 sites enumerated,
-/// all five site classes represented). Runs under group commit so the
-/// `wal_flush` class fires alongside the original four.
+/// all five site classes represented). Runs under group commit, so
+/// each `wal_flush` site covers four commits.
 #[test]
 #[ignore = "stress: run with --ignored, seeded via TPCC_STRESS_SEED"]
 fn stress_crashpoint_sweep_5k_txns() {
@@ -274,7 +309,7 @@ fn tripped_crash_recovers_to_last_commit() {
     );
     assert_eq!(report.faults.crashed_at, Some(sites / 2));
     let wal = db.take_wal().expect("WAL enabled");
-    let commits = wal.commits();
+    let commits = wal.durable_commits();
     let checkpoint = db.take_checkpoint().expect("WAL mode holds a checkpoint");
     let recovered = wal.try_recover(checkpoint).expect("recovery must succeed");
 

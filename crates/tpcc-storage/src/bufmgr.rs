@@ -29,9 +29,10 @@
 //! * shard mutex → WAL mutex (page deallocation unmaps, frees and logs
 //!   atomically) — safe because no WAL holder ever takes a shard mutex;
 //! * WAL mutex → disk mutex (allocation logging), never the reverse;
-//! * group commit adds no mutex: `logmgr` leaders and followers wait
-//!   on a condvar paired with the WAL mutex and never touch a shard
-//!   mutex or a frame latch (see DESIGN.md §10).
+//! * the WAL mutex is the log manager's (`logmgr`): page records,
+//!   commits, 2PC forces and flushes all take it, group-commit leaders
+//!   and followers wait on a condvar paired with it, and no log-manager
+//!   path touches a shard mutex or a frame latch (see DESIGN.md §10).
 //!
 //! Page-level ordering (who may hold two frame latches at once) is the
 //! caller's contract: the B+Tree acquires top-down / left-to-right and
@@ -45,8 +46,8 @@
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 use crate::disk::{DiskManager, FileId};
 use crate::fault::{FaultHook, FaultPlan, FaultSite, SoftFault};
@@ -236,13 +237,11 @@ pub struct BufferManager {
     /// its `base`/`meta.len()`.
     frames: Box<[FrameCell]>,
     shards: Box<[Mutex<Shard>]>,
-    /// The redo log, behind an `Arc` so the group-commit pipeline
-    /// (when enabled) can share it with the pool.
-    wal: Arc<Mutex<Option<Wal>>>,
-    wal_on: AtomicBool,
-    /// Group-commit pipeline; `None` (the default) keeps every commit
-    /// synchronously durable — see [`BufferManager::enable_group_commit`].
-    logmgr: Option<LogManager>,
+    /// The redo log and its commit pipeline; `Some` exactly when
+    /// logging is on — see [`BufferManager::enable_wal_with`]. Boxed so
+    /// that the WAL mutex, which every logging terminal takes, shares no
+    /// cache line with the latch counters every fix writes.
+    logmgr: Option<Box<LogManager>>,
     /// Installed fault hook; `None` (the default) keeps every fault
     /// site a single branch — see [`BufferManager::install_fault_hook`].
     fault: Option<Arc<FaultHook>>,
@@ -317,8 +316,6 @@ impl BufferManager {
             disk: Mutex::new(disk),
             frames,
             shards,
-            wal: Arc::new(Mutex::new(None)),
-            wal_on: AtomicBool::new(false),
             logmgr: None,
             fault: None,
             obs: Obs::disabled(),
@@ -368,7 +365,7 @@ impl BufferManager {
         for shard in self.shards.iter_mut() {
             shard.get_mut().expect("shard latch").counters.clear();
         }
-        if let Some(lm) = &self.logmgr {
+        if let Some(lm) = &mut self.logmgr {
             lm.set_obs(&obs);
         }
         self.obs = obs;
@@ -380,52 +377,43 @@ impl BufferManager {
         &self.obs
     }
 
+    /// Turns on redo logging with one flush per commit:
+    /// [`BufferManager::enable_wal_with`]`(None)`.
+    pub fn enable_wal(&mut self) {
+        self.enable_wal_with(None);
+    }
+
     /// Turns on redo logging: from now on every page mutation, file
     /// creation and page allocation is recorded, upholding the WAL
     /// protocol (the delta is logged while the dirty page is still
-    /// latched in the pool, before it can reach disk).
-    pub fn enable_wal(&mut self) {
-        let mut wal = self.wal.lock().expect("wal lock");
-        let wal = wal.get_or_insert_with(Wal::new);
+    /// latched in the pool, before it can reach disk). A record is
+    /// durable once a flush of the [`LogManager`] covers it, on
+    /// `group_commit`'s schedule: `None` makes each
+    /// [`BufferManager::log_commit`] force its own flush; a config
+    /// runs the group-commit pipeline, blocking until a leader's flush
+    /// covers the commit (threaded) or following the inline flush
+    /// schedule (deterministic sweeps). A log that is already on keeps
+    /// its records and takes the new schedule.
+    pub fn enable_wal_with(&mut self, group_commit: Option<GroupCommitConfig>) {
+        let mut wal = self.take_wal().unwrap_or_default();
         if let Some(hook) = &self.fault {
-            // a re-enabled WAL (e.g. after try_crash_recovery_check
+            // a re-armed log (e.g. after try_crash_recovery_check
             // detached the old one) keeps the installed fault hook
             wal.set_fault_hook(Arc::clone(hook));
         }
-        if self.logmgr.is_some() {
-            // a re-enabled WAL under group commit stays on deferred
-            // (flushed-prefix) durability; its tickets restart with its
-            // own commit count
-            wal.set_deferred(true);
-        }
-        self.wal_on.store(true, Ordering::Release);
-    }
-
-    /// Turns on group commit: the WAL switches to deferred
-    /// (flushed-prefix) durability and every [`BufferManager::log_commit`]
-    /// goes through the [`LogManager`] ticket pipeline — blocking until
-    /// a leader's flush covers the commit (threaded mode) or following
-    /// the inline flush schedule (deterministic sweeps). Enables the
-    /// WAL if it was not already on. Replaces any previous pipeline.
-    pub fn enable_group_commit(&mut self, cfg: GroupCommitConfig) {
-        self.enable_wal();
-        if let Some(wal) = self.wal.lock().expect("wal lock").as_mut() {
-            wal.set_deferred(true);
-        }
-        let lm = LogManager::new(cfg, Arc::clone(&self.wal));
+        let mut lm = LogManager::new(group_commit, wal);
         lm.set_obs(&self.obs);
-        self.logmgr = Some(lm);
+        self.logmgr = Some(Box::new(lm));
     }
 
-    /// The group-commit pipeline, when enabled.
+    /// The log manager, when logging is on.
     #[must_use]
-    pub fn group_commit(&self) -> Option<&LogManager> {
-        self.logmgr.as_ref()
+    pub fn log_manager(&self) -> Option<&LogManager> {
+        self.logmgr.as_deref()
     }
 
-    /// Flushes any pending WAL tail through the group-commit pipeline
-    /// (no-op when group commit is off — synchronous durability never
-    /// has a tail). Quiesce points call this so the durable prefix
+    /// Flushes any pending WAL tail (no-op when logging is off or the
+    /// tail is empty). Quiesce points call this so the durable prefix
     /// catches up with the log end.
     pub fn flush_log(&self) {
         if let Some(lm) = &self.logmgr {
@@ -444,7 +432,7 @@ impl BufferManager {
             .get_mut()
             .expect("disk lock")
             .set_fault_hook(Arc::clone(&hook));
-        if let Some(wal) = self.wal.lock().expect("wal lock").as_mut() {
+        if let Some(mut wal) = self.wal() {
             wal.set_fault_hook(Arc::clone(&hook));
         }
         self.fault = Some(Arc::clone(&hook));
@@ -459,76 +447,57 @@ impl BufferManager {
 
     /// Runs `f` on the live log; `None` when logging is disabled.
     pub fn with_wal<R>(&self, f: impl FnOnce(&Wal) -> R) -> Option<R> {
-        self.wal.lock().expect("wal lock").as_ref().map(f)
+        self.logmgr.as_ref().map(|lm| f(&lm.lock()))
     }
 
-    /// Detaches and returns the log (e.g. to run recovery).
+    /// Detaches and returns the log (e.g. to run recovery), turning
+    /// logging off.
     pub fn take_wal(&mut self) -> Option<Wal> {
-        self.wal_on.store(false, Ordering::Release);
-        self.wal.lock().expect("wal lock").take()
+        self.logmgr.take().map(|lm| lm.into_wal())
     }
 
-    /// Appends a commit marker for logical transaction `txn` and, under
-    /// group commit, blocks until the marker is in the durably flushed
-    /// prefix (the log manager records the wait in `commit_wait_ns`).
+    /// The log while it is on, locked (wal → disk is the lock order).
+    fn wal(&self) -> Option<MutexGuard<'_, Wal>> {
+        self.logmgr.as_ref().map(|lm| lm.lock())
+    }
+
+    /// Appends a commit marker for logical transaction `txn` and makes
+    /// it durable on the log manager's schedule (see
+    /// [`BufferManager::enable_wal_with`]).
     pub fn log_commit(&self, txn: u64) {
-        if !self.wal_on.load(Ordering::Acquire) {
-            return;
-        }
         if let Some(lm) = &self.logmgr {
             lm.commit(txn);
-        } else if let Some(wal) = self.wal.lock().expect("wal lock").as_mut() {
-            wal.append(WalEntry::Commit { txn });
         }
     }
 
     /// Appends a 2PC `Prepare` record for global transaction `txn` and
     /// forces it durable — the prepare acknowledgement a participant
     /// sends its coordinator is a durable promise, so it cannot ride a
-    /// deferred group-commit batch. Returns `true` when the record is
-    /// in the durable prefix (false after an injected crash), which is
-    /// exactly the vote the participant may send.
+    /// group-commit batch. Returns `true` when the record is in the
+    /// durable prefix (false after an injected crash), which is exactly
+    /// the vote the participant may send.
     pub fn log_prepare(&self, txn: u64) -> bool {
-        if !self.wal_on.load(Ordering::Acquire) {
-            return true; // no WAL: nothing can be lost
-        }
-        if let Some(wal) = self.wal.lock().expect("wal lock").as_mut() {
-            wal.append(WalEntry::Prepare { txn });
-            if wal.is_deferred() && !wal.flush() {
-                return false;
-            }
-            return wal.entries()[..wal.durable_len()]
-                .iter()
-                .rev()
-                .any(|e| matches!(e, WalEntry::Prepare { txn: t } if *t == txn));
-        }
-        true
+        // no WAL: nothing can be lost
+        self.logmgr
+            .as_ref()
+            .is_none_or(|lm| lm.force(WalEntry::Prepare { txn }))
     }
 
     /// Appends a 2PC `Decide` record for global transaction `txn`. On
     /// the coordinator this is the global commit point, so like
-    /// [`BufferManager::log_prepare`] it is flushed immediately rather
-    /// than deferred to a group-commit batch. Returns `true` when the
-    /// decision is durable.
+    /// [`BufferManager::log_prepare`] it is forced durable at once.
+    /// Returns `true` when the decision is durable.
     pub fn log_decide(&self, txn: u64, commit: bool) -> bool {
-        if !self.wal_on.load(Ordering::Acquire) {
-            return true;
-        }
-        if let Some(wal) = self.wal.lock().expect("wal lock").as_mut() {
-            wal.append(WalEntry::Decide { txn, commit });
-            if wal.is_deferred() && !wal.flush() {
-                return false;
-            }
-            return wal.durable_decision(txn) == Some(commit);
-        }
-        true
+        self.logmgr
+            .as_ref()
+            .is_none_or(|lm| lm.force(WalEntry::Decide { txn, commit }))
     }
 
     /// Creates an empty file, logging the event when the WAL is on so
     /// recovery can recreate it.
     pub fn create_file(&self) -> FileId {
         // wal → disk so concurrent creations log in allocation order
-        let mut wal = self.wal.lock().expect("wal lock");
+        let mut wal = self.wal();
         let file = self.disk.lock().expect("disk lock").create_file();
         if let Some(wal) = wal.as_mut() {
             wal.append(WalEntry::CreateFile { file });
@@ -671,10 +640,7 @@ impl BufferManager {
         };
         self.note_acquired();
         guard.dirty = true;
-        let before = self
-            .wal_on
-            .load(Ordering::Acquire)
-            .then(|| scratch_copy(&guard.bytes));
+        let before = self.logmgr.is_some().then(|| scratch_copy(&guard.bytes));
         PageWriteGuard {
             bm: self,
             file,
@@ -704,7 +670,7 @@ impl BufferManager {
     pub fn allocate_fixed(&self, file: FileId) -> (u32, PageWriteGuard<'_>) {
         let page = {
             // wal → disk so concurrent allocations log in page order
-            let mut wal = self.wal.lock().expect("wal lock");
+            let mut wal = self.wal();
             let mut disk = self.disk.lock().expect("disk lock");
             let extent = disk.pages(file);
             let page = disk.allocate_page(file);
@@ -754,7 +720,7 @@ impl BufferManager {
             let local = idx - shard.base;
             shard.table.remove(&(file, page));
             shard.meta[local].key = None;
-            let mut wal = self.wal.lock().expect("wal lock");
+            let mut wal = self.wal();
             self.disk.lock().expect("disk lock").free_page(file, page);
             if let Some(wal) = wal.as_mut() {
                 wal.append(WalEntry::FreePage { file, page });
@@ -874,8 +840,6 @@ impl BufferManager {
         }
     }
 
-    /// Appends one page guard's redo records under a single WAL lock
-    /// hold, counting each record's [`WalEntry::redo_bytes`].
     /// Appends one [`WalEntry::PageDelta`] per `(offset, data)` segment
     /// of `(file, page)`; nothing for no segments.
     fn log_deltas(&self, file: FileId, page: u32, segments: Vec<(u32, Vec<u8>)>) {
@@ -894,14 +858,18 @@ impl BufferManager {
         );
     }
 
+    /// Appends one page guard's redo records under a single WAL lock
+    /// hold, counting each record's [`WalEntry::redo_bytes`]. Only a
+    /// guard fixed with logging on has records, and logging stays on
+    /// while a guard borrows the pool.
     fn log_page_records(&self, records: impl IntoIterator<Item = WalEntry>) {
-        let mut wal = self.wal.lock().expect("wal lock");
+        let mut wal = self
+            .wal()
+            .expect("logging stays on while a logged guard lives");
         for entry in records {
             self.wal_bytes.add(entry.redo_bytes());
             self.wal_records.add(1);
-            if let Some(wal) = wal.as_mut() {
-                wal.append(entry);
-            }
+            wal.append(entry);
         }
     }
 
@@ -1576,7 +1544,7 @@ mod tests {
         assert!(hook.crashed());
         let frozen = bm.take_wal().expect("enabled");
         assert_eq!(
-            frozen.entries(),
+            &frozen.entries()[..frozen.durable_len()],
             &full.entries()[..pick.wal_len],
             "the frozen log is exactly the prefix durable at the site"
         );

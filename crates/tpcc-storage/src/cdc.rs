@@ -678,6 +678,7 @@ mod tests {
         fn commit(&mut self) {
             self.txn += 1;
             self.wal.append(WalEntry::Commit { txn: self.txn });
+            assert!(self.wal.flush());
         }
 
         fn subscriber(&self) -> CdcSubscriber {
@@ -793,6 +794,7 @@ mod tests {
             txn: 99,
             commit: false,
         });
+        assert!(fx.wal.flush());
         let mut sub = fx.subscriber();
         let batches = sub.poll(&fx.wal).unwrap();
         let abort = batches.last().unwrap();
@@ -811,6 +813,7 @@ mod tests {
             p.insert(b"two-pc").unwrap();
         });
         fx.wal.append(WalEntry::Prepare { txn: 7 });
+        assert!(fx.wal.flush());
         let mut sub = fx.subscriber();
         let batches = sub.poll(&fx.wal).unwrap();
         assert_eq!(batches.len(), 1, "prepare is not a boundary");
@@ -820,6 +823,7 @@ mod tests {
             txn: 7,
             commit: true,
         });
+        assert!(fx.wal.flush());
         let batches = sub.poll(&fx.wal).unwrap();
         assert_eq!(batches.len(), 1, "decide releases the prepared batch");
         assert!(batches[0].committed);

@@ -63,9 +63,9 @@ pub enum FaultSite {
     WriteBack,
     /// A buffer-pool miss is about to read a page from the device.
     MissLoad,
-    /// A group-commit flush is about to push the WAL tail to the log
-    /// device ([`Wal::flush`](crate::wal::Wal::flush)). Only fires under
-    /// deferred durability.
+    /// A flush is about to push the WAL tail to the log device
+    /// ([`Wal::flush`](crate::wal::Wal::flush)): once per commit without
+    /// group commit, once per group with it, and once per 2PC force.
     WalFlush,
     /// A writer is about to stamp a pre-image into the MVCC undo store
     /// ([`crate::undo::UndoStore::record`]) — one site per versioned
@@ -282,10 +282,9 @@ pub struct FaultHook {
     fired: [AtomicU64; FAULT_SITES],
     crashed: AtomicBool,
     crashed_at: AtomicU64,
-    /// Durable WAL length — maintained by `Wal::append` (synchronous
-    /// durability) or `Wal::flush` (deferred durability) so non-WAL
-    /// sites can capture it without touching the WAL mutex (which would
-    /// invert the wal → disk lock order).
+    /// Durable WAL length — maintained by `Wal::flush`, the only thing
+    /// that moves it, so non-WAL sites can capture it without touching
+    /// the WAL mutex (which would invert the wal → disk lock order).
     wal_len: AtomicU64,
     io_errors: AtomicU64,
     torn_writes: AtomicU64,
@@ -359,15 +358,9 @@ impl FaultHook {
         self.crashed.load(Ordering::Acquire)
     }
 
-    /// Called by `Wal::append` after a record durably lands
-    /// (synchronous durability only).
-    pub(crate) fn note_durable_append(&self) {
-        self.wal_len.fetch_add(1, Ordering::AcqRel);
-    }
-
     /// Called by `Wal::flush` after a flush advances the durable
-    /// watermark (deferred durability): the durable length jumps to the
-    /// flushed prefix in one step.
+    /// watermark: the durable length jumps to the flushed prefix in one
+    /// step.
     pub(crate) fn note_durable_flush(&self, len: usize) {
         self.wal_len.store(len as u64, Ordering::Release);
     }

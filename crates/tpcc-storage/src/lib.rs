@@ -7,7 +7,7 @@
 //!   variable-length records.
 //! * [`disk`] — an in-memory "disk" of page files with per-file I/O
 //!   accounting (the simulated device under the buffer pool).
-//! * [`bufmgr`] — a buffer manager: fixed frame pool, clock or LRU
+//! * [`bufmgr`] — a buffer manager: fixed frame pool, LRU
 //!   replacement, dirty-page write-back, hit/miss statistics.
 //! * [`heap`] — heap files of records over slotted pages.
 //! * [`btree`] — a page-based B+Tree mapping `u64` keys to `u64`
@@ -16,9 +16,11 @@
 //!   at every WAL append, page free, write-back, miss-load and WAL
 //!   flush, with seeded crash and soft-fault plans (zero-cost when
 //!   uninstalled).
-//! * [`logmgr`] — group-commit log manager: commit tickets, a
-//!   window/batch flush pipeline over a simulated log device, and
-//!   deferred (flushed-prefix) durability semantics.
+//! * [`logmgr`] — the log manager: sole owner of the live WAL and of
+//!   the one durability rule (a record is durable once a flush covers
+//!   it), with commit tickets and a window/batch group-commit pipeline
+//!   over a simulated log device; without group commit each commit
+//!   forces its own flush.
 //! * [`cdc`] — change-data-capture over the WAL: a subscription API
 //!   that decodes the durable committed prefix into typed row changes
 //!   (insert/update/delete with before/after images) via a shadow

@@ -1,34 +1,40 @@
-//! Group-commit log manager: deferred WAL durability with
-//! leader-follower flushing on the committing threads.
+//! The log manager: the one owner of the live redo log and the one
+//! place that decides when a record is durable.
 //!
-//! The paper's §5 log-disk model prices durability per *flush*, not per
-//! commit: a log device with service time `log_io_delay_us` saturates
-//! at `1 / delay` flushes per second, and throughput beyond that is
-//! only possible when each flush carries more than one commit. The
-//! synchronous WAL (every append immediately durable) makes that cost
-//! invisible. This module inserts the pipeline stage that makes it
-//! real:
+//! The paper's §5 log-disk model prices durability per *flush*: a log
+//! device with service time `log_io_delay_us` saturates at `1 / delay`
+//! flushes per second, and throughput beyond that needs more than one
+//! commit per flush. The engine keeps one rule: a record is durable
+//! once a [`Wal::flush`] covers it. The manager holds the [`Wal`]
+//! behind its mutex, and every flush — a commit's, a 2PC force
+//! ([`LogManager::force`]) or a quiesce point's
+//! ([`LogManager::flush_now`]) — goes through its one flush routine.
+//! That routine releases the mutex for the `log_io_delay_us` sleep (the
+//! simulated device write), then advances the durable watermark over
+//! the whole tail; it is a
+//! [`FaultSite::WalFlush`](crate::fault::FaultSite::WalFlush) site, so a
+//! crash between an append and the next flush loses the tail, never a
+//! flushed commit.
 //!
-//! 1. A committing terminal appends its `Commit` record under the WAL
-//!    mutex and receives a **commit ticket** — the total number of
-//!    commit records appended so far, which is also the count that must
-//!    become durable before the terminal may report success.
-//! 2. Still holding that mutex, the terminal waits for its ticket. If no
-//!    flush is in progress it becomes the **leader**: it waits on the
-//!    condvar (which releases the mutex) up to `flush_window_us` for
-//!    more commits to pile in (short-circuiting as soon as `max_batch`
-//!    are pending), releases the mutex for the `log_io_delay_us` sleep
-//!    (the simulated device write), then advances the WAL's durable
-//!    watermark over everything appended so far ([`Wal::flush`]) and
-//!    wakes every waiter. Otherwise it is a **follower** and waits on
-//!    the same condvar. No thread runs besides the committers.
-//! 3. Recovery replays the committed prefix of the **durable
-//!    watermark**: a crash between an append and the next flush loses
-//!    the volatile tail, never a flushed commit. Each flush is a
-//!    [`FaultSite::WalFlush`](crate::fault::FaultSite::WalFlush) fault
-//!    site, so the crashpoint sweep proves convergence at every flush
-//!    boundary. Once the WAL's fault hook has crashed
-//!    ([`Wal::crashed`]) waiters drain without durability.
+//! A committing terminal appends its `Commit` record under the WAL
+//! mutex and receives a **commit ticket** — the number of commit
+//! records appended so far. The schedule then decides who flushes:
+//!
+//! - no [`GroupCommitConfig`] (`DbConfig::group_commit = None`): each
+//!   commit forces its own flush before it returns — the inline
+//!   schedule with a batch of one. It never waits;
+//! - [`GroupCommitConfig::inline_every`]: the committer whose ticket is
+//!   a multiple of `max_batch` flushes the tail itself. It never waits
+//!   either, so a serial workload's fault-site numbering is the same
+//!   run to run, which the crashpoint sweeps need;
+//! - [`GroupCommitConfig::new`] (leader-follower): the terminal waits,
+//!   still under the mutex, for its ticket. If no flush is in progress
+//!   it becomes the **leader**: it waits on the condvar (which releases
+//!   the mutex) up to `flush_window_us` for more commits, or until
+//!   `max_batch` are pending, then flushes and wakes every waiter.
+//!   Otherwise it is a **follower** and waits on the same condvar. Once
+//!   the WAL's fault hook has crashed ([`Wal::crashed`]) waiters drain
+//!   without durability.
 //!
 //! # Ticket protocol invariant
 //!
@@ -36,31 +42,20 @@
 //! running commit count — so ticket order equals log order, and
 //! `durable_commits() >= ticket` is exactly "my commit record is inside
 //! the durable prefix". A flush always covers the whole tail, so the
-//! durable commit count never skips a ticket: wakeups cannot reorder a
-//! waiter past its own record. Both counts are the `Wal`'s own
-//! ([`Wal::commits`], [`Wal::durable_commits`]), so a re-armed log
-//! restarts the tickets with its counts and no copy can lag behind.
-//!
-//! # Deterministic inline mode
-//!
-//! [`GroupCommitConfig::inline_every`] never waits: the committer whose
-//! ticket is a multiple of `max_batch` flushes the tail itself. On a
-//! serial workload the fault-site numbering is then identical run to
-//! run, which is what the crashpoint sweep needs to enumerate
-//! `wal_flush` sites reproducibly. The mode is a durability *schedule*,
-//! not a wait protocol.
+//! durable commit count never skips a ticket. Both counts are the
+//! `Wal`'s own ([`Wal::commits`], [`Wal::durable_commits`]), so a
+//! re-armed log restarts the tickets with its counts.
 //!
 //! # Lock order
 //!
-//! The commit path takes one mutex, the WAL slot's, and its condvar is
-//! paired with that mutex. The obs handles keep their own mutex, taken
-//! below the WAL mutex or after it is released. Nothing here touches a buffer-pool shard mutex or frame
+//! The manager has one mutex, the WAL's, and its condvar is paired
+//! with it. Nothing here touches a buffer-pool shard mutex or frame
 //! latch — the log manager sits strictly *below* the pool in the
 //! `shard → wal → disk` hierarchy (see `bufmgr`'s module docs and
 //! DESIGN.md §10).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use tpcc_obs::{CounterHandle, HistogramHandle, Label, Obs, TraceHandle};
@@ -110,14 +105,16 @@ impl GroupCommitConfig {
     }
 }
 
-/// What one durable commit observed on its way out — the property the
-/// wakeup test asserts: `durable_at_wake >= ticket` for every commit.
+/// What one commit observed on its way out — the property the wakeup
+/// test asserts: `durable_at_wake >= ticket` for every commit whose
+/// schedule flushed it.
 #[derive(Debug, Clone, Copy)]
 pub struct CommitReceipt {
-    /// This commit's ticket: the commit count including it.
+    /// This commit's ticket: the commit count including it (0 when a
+    /// crash dropped the record).
     pub ticket: u64,
-    /// Durable commit count when the waiter was released (0 when the
-    /// run crashed or the log was detached before durability).
+    /// Durable commit count when the committer returned (0 when a
+    /// threaded waiter was released by a crash).
     pub durable_at_wake: u64,
 }
 
@@ -128,11 +125,6 @@ pub struct GroupCommitStats {
     pub flushes: u64,
     /// Commit records those flushes made durable.
     pub commits_flushed: u64,
-    /// Flushes triggered by `max_batch` pressure rather than the window
-    /// timer.
-    pub cap_flushes: u64,
-    /// WAL entries (all record types) made durable by flushes.
-    pub entries_flushed: u64,
 }
 
 impl GroupCommitStats {
@@ -147,8 +139,7 @@ impl GroupCommitStats {
     }
 }
 
-/// Observability handles, re-resolvable when the recorder changes
-/// (`set_obs` after enabling group commit).
+/// Observability handles, re-resolved when the recorder changes.
 #[derive(Debug, Default)]
 struct GcObs {
     flushes: CounterHandle,
@@ -157,92 +148,96 @@ struct GcObs {
     flush_trace: TraceHandle,
 }
 
-type WalSlot<'a> = MutexGuard<'a, Option<Wal>>;
-const LOST: CommitReceipt = CommitReceipt {
-    ticket: 0,
-    durable_at_wake: 0,
-};
+type WalGuard<'a> = MutexGuard<'a, Wal>;
 
-/// The group-commit pipeline: ticket issue on the commit path and the
-/// one flush routine that leaders, inline committers and
-/// [`LogManager::flush_now`] share.
+/// The live log and its commit pipeline: ticket assignment on the commit
+/// path, and the one flush routine that every commit, 2PC force and
+/// quiesce point shares.
 #[derive(Debug)]
 pub struct LogManager {
     cfg: GroupCommitConfig,
-    wal: Arc<Mutex<Option<Wal>>>,
+    wal: Mutex<Wal>,
     /// Paired with the WAL mutex: followers wait here for the durable
-    /// watermark, a leader for its group to fill.
+    /// watermark, a leader for its group to fill. Inline schedules
+    /// never wait on it.
     commit_cv: Condvar,
     /// A leader holds the flush. Only read or written under the WAL
     /// mutex, which orders it; atomic only so the manager is `Sync`.
     flushing: AtomicBool,
     flushes: AtomicU64,
     commits_flushed: AtomicU64,
-    cap_flushes: AtomicU64,
-    entries_flushed: AtomicU64,
-    obs: Mutex<GcObs>,
+    obs: GcObs,
 }
 
 impl LogManager {
-    /// Builds the pipeline over the shared WAL slot. The WAL must
-    /// already be in deferred-durability mode ([`Wal::set_deferred`]) —
-    /// `BufferManager::enable_group_commit` arranges both.
+    /// Takes over `wal` and commits under `group_commit`'s schedule;
+    /// `None` makes each commit force its own flush (see the module
+    /// docs).
     #[must_use]
-    pub fn new(cfg: GroupCommitConfig, wal: Arc<Mutex<Option<Wal>>>) -> Self {
+    pub fn new(group_commit: Option<GroupCommitConfig>, wal: Wal) -> Self {
         Self {
-            cfg,
-            wal,
+            cfg: group_commit.unwrap_or(GroupCommitConfig::inline_every(1)),
+            wal: Mutex::new(wal),
             commit_cv: Condvar::new(),
             flushing: AtomicBool::new(false),
             flushes: AtomicU64::new(0),
             commits_flushed: AtomicU64::new(0),
-            cap_flushes: AtomicU64::new(0),
-            entries_flushed: AtomicU64::new(0),
-            obs: Mutex::new(GcObs::default()),
+            obs: GcObs::default(),
         }
     }
 
     /// Resolves observability handles against `obs` (call again after
     /// the recorder changes): `wal_flushes` / `group_commits` counters,
-    /// the `commit_wait_ns` histogram, and `log`-category flush trace
-    /// events.
-    pub fn set_obs(&self, obs: &Obs) {
-        let mut h = self.obs.lock().expect("gc obs");
-        h.flushes = obs.counter_handle("wal_flushes", Label::None);
-        h.group_commits = obs.counter_handle("group_commits", Label::None);
-        h.commit_wait = obs.histogram_handle("commit_wait_ns", Label::None);
-        h.flush_trace = obs.trace_handle("log");
+    /// the `commit_wait_ns` histogram of threaded waits, and
+    /// `log`-category flush trace events.
+    pub fn set_obs(&mut self, obs: &Obs) {
+        self.obs = GcObs {
+            flushes: obs.counter_handle("wal_flushes", Label::None),
+            group_commits: obs.counter_handle("group_commits", Label::None),
+            commit_wait: obs.histogram_handle("commit_wait_ns", Label::None),
+            flush_trace: obs.trace_handle("log"),
+        };
     }
 
-    /// Appends the commit record for `txn` and blocks until it is in
-    /// the durably flushed prefix (threaded mode) or applies the inline
-    /// flush schedule (inline mode). Never blocks after a crash or with
-    /// the log detached — the receipt then reports
-    /// `durable_at_wake = 0`.
+    /// Locks the log: appends made through the guard are volatile
+    /// until a flush of this manager covers them.
+    pub(crate) fn lock(&self) -> WalGuard<'_> {
+        self.wal.lock().expect("wal lock")
+    }
+
+    /// Gives up the log (its volatile tail included).
+    #[must_use]
+    pub fn into_wal(self) -> Wal {
+        self.wal.into_inner().expect("wal lock")
+    }
+
+    /// Appends the commit record for `txn` and applies the schedule:
+    /// flushes it at once (no group commit), flushes every
+    /// `max_batch`-th commit (inline), or blocks until a leader's
+    /// flush covers it (threaded). Never blocks after a crash.
     pub fn commit(&self, txn: u64) -> CommitReceipt {
-        let mut slot = self.wal.lock().expect("wal lock");
-        let Some(wal) = slot.as_mut() else {
-            return LOST;
-        };
+        let mut wal = self.lock();
         let before = wal.commits();
         wal.append(WalEntry::Commit { txn });
         let ticket = wal.commits();
         if ticket == before {
             // the crash dropped the record: no ticket, and waiters
             // (a leader gathering its group included) must drain
-            drop(slot);
+            drop(wal);
             self.commit_cv.notify_all();
-            return LOST;
+            return CommitReceipt {
+                ticket: 0,
+                durable_at_wake: 0,
+            };
         }
         let max_batch = self.cfg.max_batch as u64;
         if self.cfg.inline {
             if ticket.is_multiple_of(max_batch) {
-                slot = self.flush(slot, true);
+                wal = self.flush(wal);
             }
-            let durable_at_wake = slot.as_ref().map_or(0, Wal::durable_commits);
             return CommitReceipt {
                 ticket,
-                durable_at_wake,
+                durable_at_wake: wal.durable_commits(),
             };
         }
         let start = Instant::now();
@@ -251,22 +246,23 @@ impl LogManager {
             self.commit_cv.notify_all();
         }
         let durable_at_wake = loop {
-            match slot.as_ref() {
-                Some(wal) if wal.durable_commits() >= ticket => break wal.durable_commits(),
-                Some(wal) if !wal.crashed() => {}
-                _ => break 0,
+            if wal.durable_commits() >= ticket {
+                break wal.durable_commits();
+            }
+            if wal.crashed() {
+                break 0;
             }
             if self.flushing.load(Ordering::Relaxed) {
-                slot = self.commit_cv.wait(slot).expect("wal lock");
+                wal = self.commit_cv.wait(wal).expect("wal lock");
             } else {
                 self.flushing.store(true, Ordering::Relaxed);
-                slot = self.lead(slot);
+                wal = self.lead(wal);
                 self.flushing.store(false, Ordering::Relaxed);
             }
         };
-        drop(slot);
+        drop(wal);
         let wait_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.obs.lock().expect("gc obs").commit_wait.record(wait_ns);
+        self.obs.commit_wait.record(wait_ns);
         CommitReceipt {
             ticket,
             durable_at_wake,
@@ -276,64 +272,66 @@ impl LogManager {
     /// The leader's turn: gather a group until `max_batch` commits are
     /// pending, the window expires or a crash freezes the log, then
     /// flush it.
-    fn lead<'a>(&'a self, mut slot: WalSlot<'a>) -> WalSlot<'a> {
+    fn lead<'a>(&'a self, mut wal: WalGuard<'a>) -> WalGuard<'a> {
         let deadline = Instant::now() + Duration::from_micros(self.cfg.flush_window_us);
-        let cap = loop {
-            let Some(wal) = slot.as_ref() else {
-                return slot;
-            };
-            let cap = wal.commits() - wal.durable_commits() >= self.cfg.max_batch as u64;
+        loop {
+            let full = wal.commits() - wal.durable_commits() >= self.cfg.max_batch as u64;
             let now = Instant::now();
-            if cap || wal.crashed() || now >= deadline {
-                break cap;
+            if full || wal.crashed() || now >= deadline {
+                return self.flush(wal);
             }
-            slot = self
+            wal = self
                 .commit_cv
-                .wait_timeout(slot, deadline - now)
+                .wait_timeout(wal, deadline - now)
                 .expect("wal lock")
                 .0;
-        };
-        self.flush(slot, cap)
+        }
+    }
+
+    /// Appends `entry` and flushes at once, whatever the schedule: a
+    /// 2PC vote or decision is a durable promise, so it cannot wait for
+    /// a group. Returns `true` when the record is inside the durable
+    /// prefix (false after an injected crash).
+    pub fn force(&self, entry: WalEntry) -> bool {
+        let mut wal = self.lock();
+        let at = wal.len();
+        wal.append(entry);
+        let landed = wal.len() > at;
+        landed && self.flush(wal).durable_len() > at
     }
 
     /// The one flush routine: simulated device latency (with the WAL
     /// mutex released), watermark advance over the whole tail, stats,
-    /// and a wakeup for every waiter. `cap` records whether `max_batch`
-    /// pressure (rather than the window timer) forced it.
-    fn flush<'a>(&'a self, mut slot: WalSlot<'a>, cap: bool) -> WalSlot<'a> {
+    /// and — under leader-follower commit, the only schedule that
+    /// waits — a wakeup for every waiter.
+    fn flush<'a>(&'a self, mut wal: WalGuard<'a>) -> WalGuard<'a> {
         if self.cfg.log_io_delay_us > 0 {
-            drop(slot);
+            drop(wal);
             std::thread::sleep(Duration::from_micros(self.cfg.log_io_delay_us));
-            slot = self.wal.lock().expect("wal lock");
+            wal = self.lock();
         }
-        let trace_start = self.obs.lock().expect("gc obs").flush_trace.now();
-        if let Some(wal) = slot.as_mut() {
-            let (entries, commits) = (wal.durable_len(), wal.durable_commits());
-            let entries = wal.flush().then(|| (wal.durable_len() - entries) as u64);
+        let trace_start = self.obs.flush_trace.now();
+        let (entries, commits) = (wal.durable_len(), wal.durable_commits());
+        // an already-durable tail is not a flush: don't let quiesce
+        // calls dilute the commits-per-flush batching statistics
+        if wal.flush() && wal.durable_len() > entries {
             let commits = wal.durable_commits() - commits;
-            // an already-durable tail is not a flush: don't let quiesce
-            // calls dilute the commits-per-flush batching statistics
-            if let Some(entries @ 1..) = entries {
-                self.flushes.fetch_add(1, Ordering::Relaxed);
-                self.commits_flushed.fetch_add(commits, Ordering::Relaxed);
-                self.entries_flushed.fetch_add(entries, Ordering::Relaxed);
-                if cap {
-                    self.cap_flushes.fetch_add(1, Ordering::Relaxed);
-                }
-                let obs = self.obs.lock().expect("gc obs");
-                obs.flushes.add(1);
-                obs.group_commits.add(commits);
-                obs.flush_trace.record_opt("wal_flush", trace_start);
-            }
+            self.flushes.fetch_add(1, Ordering::Relaxed);
+            self.commits_flushed.fetch_add(commits, Ordering::Relaxed);
+            self.obs.flushes.add(1);
+            self.obs.group_commits.add(commits);
+            self.obs.flush_trace.record_opt("wal_flush", trace_start);
         }
-        self.commit_cv.notify_all();
-        slot
+        if !self.cfg.inline {
+            self.commit_cv.notify_all();
+        }
+        wal
     }
 
     /// Forces a flush of whatever is pending (quiesce points). No-op
     /// when the tail is empty.
     pub fn flush_now(&self) {
-        drop(self.flush(self.wal.lock().expect("wal lock"), false));
+        drop(self.flush(self.lock()));
     }
 
     /// Counter snapshot.
@@ -342,8 +340,6 @@ impl LogManager {
         GroupCommitStats {
             flushes: self.flushes.load(Ordering::Relaxed),
             commits_flushed: self.commits_flushed.load(Ordering::Relaxed),
-            cap_flushes: self.cap_flushes.load(Ordering::Relaxed),
-            entries_flushed: self.entries_flushed.load(Ordering::Relaxed),
         }
     }
 }
@@ -353,18 +349,32 @@ mod tests {
     use super::*;
 
     use crate::fault::{FaultHook, FaultPlan, FaultSite};
-    use std::sync::{mpsc, Barrier};
+    use std::sync::{mpsc, Arc, Barrier};
+    use tpcc_obs::MemoryRecorder;
 
-    fn deferred_wal() -> Wal {
-        let mut wal = Wal::new();
-        wal.set_deferred(true);
-        wal
+    fn manager(group_commit: Option<GroupCommitConfig>) -> LogManager {
+        LogManager::new(group_commit, Wal::new())
     }
 
-    fn shared_wal(deferred: bool) -> Arc<Mutex<Option<Wal>>> {
-        let mut wal = Wal::new();
-        wal.set_deferred(deferred);
-        Arc::new(Mutex::new(Some(wal)))
+    /// `threads` terminals × `commits` commits each through `lm`, all
+    /// released at once; every receipt, in no particular order.
+    fn commit_concurrently(lm: &Arc<LogManager>, threads: u64, commits: u64) -> Vec<CommitReceipt> {
+        let start = Arc::new(Barrier::new(threads as usize));
+        let terminals: Vec<_> = (0..threads)
+            .map(|t| {
+                let (lm, start) = (Arc::clone(lm), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..commits)
+                        .map(|i| lm.commit(t * 1000 + i))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        terminals
+            .into_iter()
+            .flat_map(|t| t.join().expect("terminal"))
+            .collect()
     }
 
     /// One threaded group-commit run that crashes at fault site `seq`:
@@ -377,12 +387,11 @@ mod tests {
             record_sites: true,
             ..FaultPlan::crash_at(seed, seq)
         }));
-        let mut wal = deferred_wal();
+        let mut wal = Wal::new();
         wal.set_fault_hook(Arc::clone(&hook));
-        let wal = Arc::new(Mutex::new(Some(wal)));
         let lm = Arc::new(LogManager::new(
-            GroupCommitConfig::new(50, 4, 20),
-            Arc::clone(&wal),
+            Some(GroupCommitConfig::new(50, 4, 20)),
+            wal,
         ));
         let (done, finished) = mpsc::channel();
         let start = Arc::new(Barrier::new(4));
@@ -415,12 +424,7 @@ mod tests {
         }
 
         assert!(hook.crashed(), "site {seq} lies inside the run");
-        let frozen = wal
-            .lock()
-            .expect("wal")
-            .as_ref()
-            .expect("present")
-            .durable_commits();
+        let frozen = lm.lock().durable_commits();
         for r in &receipts {
             if r.durable_at_wake > 0 {
                 assert!(
@@ -448,8 +452,7 @@ mod tests {
 
     #[test]
     fn threaded_commit_blocks_until_its_ticket_is_durable() {
-        let wal = shared_wal(true);
-        let lm = LogManager::new(GroupCommitConfig::new(50, 4, 0), Arc::clone(&wal));
+        let lm = manager(Some(GroupCommitConfig::new(50, 4, 0)));
         for txn in 1..=10u64 {
             let r = lm.commit(txn);
             assert_eq!(r.ticket, txn);
@@ -460,32 +463,21 @@ mod tests {
                 r.durable_at_wake
             );
         }
-        let w = wal.lock().expect("wal");
-        let w = w.as_ref().expect("present");
-        assert_eq!(w.durable_commits(), 10);
-        drop(lm);
+        assert_eq!(lm.lock().durable_commits(), 10);
     }
 
     #[test]
     fn max_batch_pressure_short_circuits_the_window() {
-        let wal = shared_wal(true);
-        // an hour-long window: only cap pressure can release a flush
-        let lm = LogManager::new(
-            GroupCommitConfig::new(3_600_000_000, 1, 0),
-            Arc::clone(&wal),
-        );
+        // an hour-long window: only a full group can release a flush
+        let lm = manager(Some(GroupCommitConfig::new(3_600_000_000, 1, 0)));
         let r = lm.commit(1);
         assert_eq!(r.durable_at_wake, 1, "cap of 1: every commit flushes");
-        let stats = lm.stats();
-        assert_eq!(stats.flushes, 1);
-        assert_eq!(stats.cap_flushes, 1);
-        drop(lm);
+        assert_eq!(lm.stats().flushes, 1);
     }
 
     #[test]
     fn inline_mode_flushes_every_max_batch_commits() {
-        let wal = shared_wal(true);
-        let lm = LogManager::new(GroupCommitConfig::inline_every(3), Arc::clone(&wal));
+        let lm = manager(Some(GroupCommitConfig::inline_every(3)));
         for txn in 1..=7u64 {
             lm.commit(txn);
         }
@@ -493,11 +485,7 @@ mod tests {
         assert_eq!(stats.flushes, 2, "7 commits at period 3 → flushes at 3, 6");
         assert_eq!(stats.commits_flushed, 6);
         assert_eq!(
-            wal.lock()
-                .expect("wal")
-                .as_ref()
-                .expect("present")
-                .durable_commits(),
+            lm.lock().durable_commits(),
             6,
             "the 7th commit is still volatile"
         );
@@ -507,48 +495,58 @@ mod tests {
 
     #[test]
     fn flush_now_drains_the_pending_tail() {
-        let wal = shared_wal(true);
-        let lm = LogManager::new(GroupCommitConfig::inline_every(100), Arc::clone(&wal));
+        let lm = manager(Some(GroupCommitConfig::inline_every(100)));
         lm.commit(1);
-        assert_eq!(
-            wal.lock()
-                .expect("wal")
-                .as_ref()
-                .expect("present")
-                .durable_commits(),
-            0
-        );
+        assert_eq!(lm.lock().durable_commits(), 0);
         lm.flush_now();
+        assert_eq!(lm.lock().durable_commits(), 1);
+    }
+
+    /// Without group commit every commit forces its own flush on its
+    /// own thread: no terminal waits, each returns durable, and the
+    /// flush count is the commit count.
+    #[test]
+    fn synchronous_commits_each_flush_their_own_record_without_waiting() {
+        let recorder = Arc::new(MemoryRecorder::new());
+        let mut lm = manager(None);
+        lm.set_obs(&Obs::new(Arc::clone(&recorder)));
+        let lm = Arc::new(lm);
+        let receipts = commit_concurrently(&lm, 4, 50);
+        for r in &receipts {
+            assert!(r.durable_at_wake >= r.ticket, "{r:?} returned volatile");
+        }
+        assert_eq!(recorder.counter_total("wal_flushes"), 200);
+        assert_eq!(recorder.counter_total("group_commits"), 200);
+        assert_eq!(lm.stats().flushes, 200);
         assert_eq!(
-            wal.lock()
-                .expect("wal")
-                .as_ref()
-                .expect("present")
-                .durable_commits(),
-            1
+            recorder
+                .histogram("commit_wait_ns", Label::None)
+                .map_or(0, |h| h.count()),
+            0,
+            "a synchronous commit never waits"
         );
+        let wal = lm.lock();
+        assert_eq!((wal.durable_commits(), wal.durable_len()), (200, 200));
+    }
+
+    #[test]
+    fn force_makes_its_record_durable_under_any_schedule() {
+        for group_commit in [None, Some(GroupCommitConfig::inline_every(100))] {
+            let lm = manager(group_commit);
+            lm.lock().append(WalEntry::CreateFile {
+                file: crate::disk::FileId(0),
+            });
+            assert!(lm.force(WalEntry::Prepare { txn: 9 }));
+            assert_eq!(lm.lock().durable_len(), 2, "the force covers the tail");
+            assert_eq!(lm.lock().in_doubt(), vec![9]);
+        }
     }
 
     #[test]
     fn commits_per_flush_exceeds_one_under_concurrency() {
-        let wal = shared_wal(true);
-        let lm = Arc::new(LogManager::new(
-            GroupCommitConfig::new(200, 64, 50),
-            Arc::clone(&wal),
-        ));
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let lm = Arc::clone(&lm);
-                std::thread::spawn(move || {
-                    for i in 0..25u64 {
-                        let r = lm.commit(t * 1000 + i);
-                        assert!(r.durable_at_wake >= r.ticket);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("terminal");
+        let lm = Arc::new(manager(Some(GroupCommitConfig::new(200, 64, 50))));
+        for r in commit_concurrently(&lm, 8, 25) {
+            assert!(r.durable_at_wake >= r.ticket);
         }
         let stats = lm.stats();
         assert_eq!(stats.commits_flushed, 200);
@@ -585,8 +583,7 @@ mod tests {
 
     #[test]
     fn a_rearmed_log_restarts_the_tickets_on_its_own() {
-        let wal = shared_wal(true);
-        let lm = LogManager::new(GroupCommitConfig::new(50, 4, 0), Arc::clone(&wal));
+        let lm = manager(Some(GroupCommitConfig::new(50, 4, 0)));
         for txn in 1..=10u64 {
             lm.commit(txn);
         }
@@ -594,7 +591,7 @@ mod tests {
         assert_eq!(flushed, 10);
 
         // re-arm: the new log's commit count — the ticket source — is 0
-        *wal.lock().expect("wal") = Some(deferred_wal());
+        *lm.lock() = Wal::new();
         for txn in 1..=6u64 {
             let r = lm.commit(100 + txn);
             assert_eq!(r.ticket, txn);

@@ -13,10 +13,20 @@
 //! state: a leaf record reruns the tree's own byte operation on the
 //! same page image it ran on live, so it need not be idempotent.
 //!
-//! Redo-only (no undo) is sound for this workload because every
-//! transaction is validate-then-apply: no transaction writes a page
-//! unless it is certain to commit (see `tpcc-db`'s New-Order rollback,
-//! which aborts before its first write).
+//! Redo-only (no undo) is sound because recovery stops at the last
+//! durable commit boundary, and a transaction that writes and then
+//! aborts is made whole before the next boundary: MVCC's undo-backed
+//! New-Order abort and a 2PC abort restore their pages through the
+//! ordinary logged write path, so the compensating deltas follow the
+//! forward ones in the log, and a prefix ending at a later boundary
+//! nets out. The known exception is ROADMAP item A: an abort writes no
+//! marker, so when an abort is the last thing a log sees, its forward
+//! and compensating deltas lie past the last boundary, and recovery
+//! (which stops there) disagrees with the live pool.
+//!
+//! A record is durable only once [`Wal::flush`] covers it. The live log
+//! belongs to the log manager (`logmgr`), the one place that decides
+//! when to flush.
 
 use std::fmt;
 use std::sync::Arc;
@@ -298,26 +308,20 @@ impl WalEntry {
 
 /// An in-memory redo log.
 ///
-/// # Durability modes
+/// # Durability
 ///
-/// In the default **synchronous** mode every append is immediately
-/// durable — the historical behaviour, where `committed_len()` is the
-/// last commit marker *in memory*. Under **deferred** durability
-/// ([`Wal::set_deferred`], the group-commit regime) appends land only
-/// in the volatile tail; [`Wal::flush`] pushes the whole tail through
-/// the simulated log device and advances the **durable watermark**
-/// ([`Wal::durable_len`]). Recovery then replays only the committed
-/// prefix *of the durable watermark*: a crash between an append and the
-/// next flush loses the tail, never a flushed commit.
+/// Appends land in a volatile tail; [`Wal::flush`] pushes the whole
+/// tail through the simulated log device and advances the **durable
+/// watermark** ([`Wal::durable_len`]). Recovery replays only the
+/// committed prefix *of the durable watermark*: a crash between an
+/// append and the next flush loses the tail, never a flushed commit.
 #[derive(Debug, Clone, Default)]
 pub struct Wal {
     entries: Vec<WalEntry>,
     redo_bytes: u64,
     commit_count: u64,
-    /// Deferred durability (group commit) on?
-    deferred: bool,
     /// Durable watermark: entries `[..durable_len]` survived the last
-    /// flush. Synchronous mode keeps it pinned to `entries.len()`.
+    /// flush.
     durable_len: usize,
     /// Commit markers inside the durable watermark.
     durable_commits: u64,
@@ -332,8 +336,8 @@ impl Wal {
     }
 
     /// Attaches a fault hook: every append becomes a
-    /// [`FaultSite::WalAppend`] fault site (and under deferred
-    /// durability every flush a [`FaultSite::WalFlush`] site), and once
+    /// [`FaultSite::WalAppend`] fault site and every flush a
+    /// [`FaultSite::WalFlush`] site, and once
     /// the hook's crash trips, appends are silently dropped and flushes
     /// stop advancing the watermark — the durable log is frozen at the
     /// crash instant (see the `fault` module's crash model).
@@ -346,25 +350,6 @@ impl Wal {
     #[must_use]
     pub fn crashed(&self) -> bool {
         self.hook.as_ref().is_some_and(|h| h.crashed())
-    }
-
-    /// Switches between synchronous (`false`, the default) and deferred
-    /// (`true`, group-commit) durability. Leaving deferred mode
-    /// promotes the current tail to durable in one step — callers
-    /// should [`Wal::flush`] first if they want the promotion counted
-    /// as a flush.
-    pub fn set_deferred(&mut self, deferred: bool) {
-        self.deferred = deferred;
-        if !deferred {
-            self.durable_len = self.entries.len();
-            self.durable_commits = self.commit_count;
-        }
-    }
-
-    /// True when running under deferred (group-commit) durability.
-    #[must_use]
-    pub fn is_deferred(&self) -> bool {
-        self.deferred
     }
 
     /// Appends an entry. 2PC records fire their own fault sites
@@ -384,15 +369,7 @@ impl Wal {
         }
         self.redo_bytes += entry.redo_bytes();
         self.commit_count += u64::from(entry.counts_as_commit());
-        self.entries.push(entry);
-        if self.deferred {
-            return; // volatile tail: durable only after the next flush
-        }
-        self.durable_len = self.entries.len();
-        self.durable_commits = self.commit_count;
-        if let Some(hook) = &self.hook {
-            hook.note_durable_append();
-        }
+        self.entries.push(entry); // volatile until the next flush
     }
 
     /// Pushes the volatile tail to the log device, advancing the
@@ -420,24 +397,16 @@ impl Wal {
     }
 
     /// Durable watermark: number of entries that survived the last
-    /// flush (equals [`Wal::len`] under synchronous durability).
+    /// flush.
     #[must_use]
     pub fn durable_len(&self) -> usize {
         self.durable_len
     }
 
-    /// Commit markers inside the durable watermark (equals
-    /// [`Wal::commits`] under synchronous durability).
+    /// Commit markers inside the durable watermark.
     #[must_use]
     pub fn durable_commits(&self) -> u64 {
         self.durable_commits
-    }
-
-    /// Entries appended but not yet flushed (always 0 under synchronous
-    /// durability).
-    #[must_use]
-    pub fn unflushed(&self) -> usize {
-        self.entries.len() - self.durable_len
     }
 
     /// Entries logged.
@@ -493,9 +462,8 @@ impl Wal {
             self.commit_count -= u64::from(entry.counts_as_commit());
         }
         self.entries.truncate(keep);
-        if !self.deferred || self.durable_len > keep {
-            // sync mode pins the watermark to the log end; deferred mode
-            // only pulls it back when the cut removed durable entries
+        if self.durable_len > keep {
+            // the cut removed durable entries: the watermark follows it
             self.durable_len = keep;
             self.durable_commits = self.commit_count;
         }
@@ -504,10 +472,8 @@ impl Wal {
     /// Length of the committed prefix: the index just past the last
     /// [`WalEntry::Commit`] or [`WalEntry::Decide`] marker inside the
     /// **durable watermark** (0 when no transaction durably committed).
-    /// Recovery replays exactly `entries()[..committed_len()]`. Under
-    /// synchronous durability the watermark is the whole log, so this
-    /// is the historical "last commit marker in memory"; under deferred
-    /// durability commits in the unflushed tail do not count.
+    /// Recovery replays exactly `entries()[..committed_len()]`; commits
+    /// in the unflushed tail do not count.
     ///
     /// A `Decide` is a boundary whichever way it went: an abort logs
     /// its compensating deltas before the decision, so the prefix nets
@@ -979,6 +945,7 @@ mod tests {
             data: vec![42],
         });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
 
         let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut out = vec![0u8; 64];
@@ -1011,6 +978,7 @@ mod tests {
             data: vec![2],
         });
         wal.append(WalEntry::AllocPage { file: f, page: 1 });
+        assert!(wal.flush(), "the uncommitted tail is durable too");
 
         let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 64];
@@ -1034,6 +1002,7 @@ mod tests {
             offset: 0,
             data: vec![9],
         });
+        assert!(wal.flush());
         let recovered = wal.try_recover(checkpoint).expect("log applies");
         let mut buf = vec![0u8; 64];
         recovered.read_page(f, p, &mut buf);
@@ -1067,6 +1036,7 @@ mod tests {
         assert_eq!(p, 1, "allocation reuses the freed page");
         wal.append(WalEntry::AllocPage { file: f, page: p });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
 
         let recovered = wal.try_recover(checkpoint).expect("log applies");
         assert!(
@@ -1086,6 +1056,7 @@ mod tests {
             page: 0,
         });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         assert_eq!(
             wal.try_recover(checkpoint.snapshot()).unwrap_err(),
             RecoveryError::UnknownFile { file: FileId(3) }
@@ -1105,6 +1076,7 @@ mod tests {
             data: vec![0u8; 8],
         });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         let err = wal.try_recover(checkpoint.snapshot()).unwrap_err();
         assert!(matches!(err, RecoveryError::DeltaOutOfBounds { .. }));
 
@@ -1124,6 +1096,7 @@ mod tests {
             page: 0,
         });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         assert_eq!(
             wal.try_recover(checkpoint.snapshot()).unwrap_err(),
             RecoveryError::DoubleFree {
@@ -1200,11 +1173,14 @@ mod tests {
         wal.append(WalEntry::CreateFile { file: FileId(0) });
         assert_eq!(wal.committed_len(), 0, "no commit yet");
         wal.append(WalEntry::Commit { txn: 1 });
+        assert_eq!(wal.committed_len(), 0, "not flushed yet");
+        assert!(wal.flush());
         assert_eq!(wal.committed_len(), 2);
         wal.append(WalEntry::AllocPage {
             file: FileId(0),
             page: 0,
         });
+        assert!(wal.flush());
         assert_eq!(wal.committed_len(), 2, "in-flight tail excluded");
     }
 
@@ -1220,6 +1196,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(WalEntry::CreateFile { file: FileId(0) });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         assert_eq!(
             wal.try_recover(checkpoint).unwrap_err(),
             RecoveryError::FileIdMismatch {
@@ -1238,6 +1215,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(WalEntry::AllocPage { file: f, page: 0 });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         assert_eq!(
             wal.try_recover(checkpoint).unwrap_err(),
             RecoveryError::PageMismatch {
@@ -1256,6 +1234,7 @@ mod tests {
             page: 0,
         });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         assert_eq!(
             wal.try_recover(DiskManager::new(64)).unwrap_err(),
             RecoveryError::UnknownFile { file: FileId(5) }
@@ -1274,6 +1253,7 @@ mod tests {
             data: vec![1],
         });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         assert_eq!(
             wal.try_recover(checkpoint).unwrap_err(),
             RecoveryError::UnknownPage { file: f, page: 9 }
@@ -1293,6 +1273,7 @@ mod tests {
             data: vec![0u8; 8],
         });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         assert_eq!(
             wal.try_recover(checkpoint).unwrap_err(),
             RecoveryError::DeltaOutOfBounds {
@@ -1313,6 +1294,7 @@ mod tests {
         wal.append(WalEntry::FreePage { file: f, page: 0 });
         wal.append(WalEntry::FreePage { file: f, page: 0 });
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         assert_eq!(
             wal.try_recover(checkpoint).unwrap_err(),
             RecoveryError::DoubleFree { file: f, page: 0 }
@@ -1336,14 +1318,12 @@ mod tests {
     }
 
     #[test]
-    fn deferred_durability_gates_committed_len_on_flush() {
+    fn durability_gates_committed_len_on_flush() {
         let mut wal = Wal::new();
-        wal.set_deferred(true);
         wal.append(WalEntry::CreateFile { file: FileId(0) });
         wal.append(WalEntry::Commit { txn: 1 });
         assert_eq!(wal.len(), 2);
         assert_eq!(wal.durable_len(), 0, "nothing flushed yet");
-        assert_eq!(wal.unflushed(), 2);
         assert_eq!(
             wal.committed_len(),
             0,
@@ -1366,7 +1346,6 @@ mod tests {
         use crate::fault::{FaultHook, FaultPlan};
 
         let mut wal = Wal::new();
-        wal.set_deferred(true);
         // sites: 0,1 appends · 2 flush · 3,4 appends · 5 flush (crash)
         let hook = Arc::new(FaultHook::new(FaultPlan::crash_at(7, 5)));
         wal.set_fault_hook(Arc::clone(&hook));
@@ -1391,9 +1370,8 @@ mod tests {
     }
 
     #[test]
-    fn deferred_truncate_clamps_the_watermark() {
+    fn truncate_clamps_the_watermark() {
         let mut wal = Wal::new();
-        wal.set_deferred(true);
         wal.append(WalEntry::Commit { txn: 1 });
         wal.flush();
         wal.append(WalEntry::Commit { txn: 2 });
@@ -1426,6 +1404,7 @@ mod tests {
             data: vec![2],
         });
         wal.append(WalEntry::Prepare { txn: 9 });
+        assert!(wal.flush());
         assert_eq!(wal.committed_len(), 2, "in-doubt tail excluded");
         assert_eq!(wal.in_doubt(), vec![9]);
         // coordinator says commit: the tail replays through the prepare
@@ -1437,6 +1416,7 @@ mod tests {
             txn: 9,
             commit: true,
         });
+        assert!(wal.flush());
         assert_eq!(wal.committed_len(), 5);
         assert!(wal.in_doubt().is_empty());
         assert_eq!(wal.durable_decision(9), Some(true));
@@ -1470,6 +1450,7 @@ mod tests {
             txn: 4,
             commit: false,
         });
+        assert!(wal.flush());
         assert_eq!(wal.committed_len(), 4, "abort decision is a boundary");
         assert_eq!(wal.commits(), 0, "an abort is not a commit");
         let recovered = wal.try_recover(checkpoint).expect("log applies");
@@ -1493,6 +1474,7 @@ mod tests {
             data: vec![42],
         });
         wal.append(WalEntry::Prepare { txn: 11 });
+        assert!(wal.flush());
         // crash here: durable prepare, no decision on this node
 
         let committed = wal
@@ -1530,13 +1512,15 @@ mod tests {
         // a crash at the decide site loses the decision, leaving the
         // prepare in doubt
         let mut wal = Wal::new();
-        let hook = Arc::new(FaultHook::new(FaultPlan::crash_at(7, 1)));
+        let hook = Arc::new(FaultHook::new(FaultPlan::crash_at(7, 2)));
         wal.set_fault_hook(hook);
         wal.append(WalEntry::Prepare { txn: 5 }); // site 0: survives
+        assert!(wal.flush()); // site 1: the prepare is durable
         wal.append(WalEntry::Decide {
             txn: 5,
             commit: true,
-        }); // site 1: dropped
+        }); // site 2: dropped
+        assert!(wal.flush(), "nothing left to flush");
         assert_eq!(wal.in_doubt(), vec![5]);
         assert_eq!(wal.durable_decision(5), None);
     }
@@ -1658,6 +1642,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(rejected[2].1.clone());
         wal.append(WalEntry::Commit { txn: 1 });
+        assert!(wal.flush());
         assert!(matches!(
             wal.try_recover(disk.snapshot()),
             Err(RecoveryError::BadLeafRecord {
