@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use tpcc_db::db::DbConfig;
 use tpcc_db::driver::{DriverConfig, TX_NAMES};
-use tpcc_db::{loader, GroupCommitStats, ParallelDriver, ParallelReport, TpccDb};
+use tpcc_db::{loader, ParallelDriver, ParallelReport, TpccDb};
 use tpcc_obs::{Label, MemoryRecorder, Obs, QuantileSketch, SeriesStat, TimeSeriesPoint};
 
 /// One cell of a sweep: the database it runs on and the load it gets.
@@ -125,8 +125,6 @@ pub struct Counters {
     executed: [u64; 5],
     /// Transaction latency per type in nanoseconds.
     latency_ns: [QuantileSketch; 5],
-    /// Group-commit pipeline counters (0 without group commit).
-    pub gc: GroupCommitStats,
     /// Commit waits in nanoseconds (empty without threaded group
     /// commit: no other schedule waits).
     pub commit_wait_ns: QuantileSketch,
@@ -136,15 +134,13 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// The recorder's half of the counters; the group-commit stats are
-    /// the database's.
+    /// The recorder's counters.
     fn read(recorder: &MemoryRecorder) -> Self {
         let histogram = |name, label| recorder.histogram(name, label).unwrap_or_default();
         Counters {
             recorded: COUNTERS.map(|name| recorder.counter_total(name)),
             executed: TX_NAMES.map(|t| recorder.counter_value("txn_executed", Label::Name(t))),
             latency_ns: TX_NAMES.map(|t| histogram("txn_latency_ns", Label::Name(t))),
-            gc: GroupCommitStats::default(),
             commit_wait_ns: histogram("commit_wait_ns", Label::None),
             cdc_lag_entries: histogram("cdc_lag_entries", Label::None),
         }
@@ -177,10 +173,6 @@ impl Counters {
             latency_ns: std::array::from_fn(|t| {
                 self.latency_ns[t].delta_since(&mark.latency_ns[t])
             }),
-            gc: GroupCommitStats {
-                flushes: self.gc.flushes - mark.gc.flushes,
-                commits_flushed: self.gc.commits_flushed - mark.gc.commits_flushed,
-            },
             commit_wait_ns: self.commit_wait_ns.delta_since(&mark.commit_wait_ns),
             cdc_lag_entries: self.cdc_lag_entries.delta_since(&mark.cdc_lag_entries),
         }
@@ -243,10 +235,7 @@ impl Cell {
     /// The cumulative counters as they stand now.
     #[must_use]
     pub fn counters(&self) -> Counters {
-        Counters {
-            gc: self.db.group_commit_stats().unwrap_or_default(),
-            ..Counters::read(&self.recorder)
-        }
+        Counters::read(&self.recorder)
     }
 
     /// Runs `spec`'s load on this cell: the warm-up (discarded: it

@@ -8,7 +8,7 @@
 //! the driver's seed replays a serial run decision-for-decision (and
 //! the tests assert the final database images are byte-identical).
 
-use crate::db::TpccDb;
+use crate::db::{DbConfig, TpccDb};
 use crate::terminal::{OneNode, Terminal};
 use crate::txns::{CustomerSelector, OrderLineReq};
 use tpcc_rand::{NuRand, Xoshiro256};
@@ -178,48 +178,36 @@ pub struct InputGen {
     rng: Xoshiro256,
     customer_nu: NuRand,
     item_nu: NuRand,
+    name_nu: NuRand,
     warehouses: u64,
     items: u64,
-    name_count: u64,
 }
 
 impl InputGen {
     /// A generator whose NURand ranges match the database's scale.
     #[must_use]
     pub fn new(db: &TpccDb, cfg: DriverConfig, seed: u64) -> Self {
-        Self::with_scale(
-            cfg,
-            seed,
-            db.config().warehouses,
-            db.config().customers_per_district,
-            db.config().items,
-            db.config().name_count(),
-        )
+        Self::with_scale(cfg, seed, db.config().warehouses, db.config())
     }
 
-    /// A generator over an explicit scale — the cluster driver spans
-    /// warehouses across several node databases, so no single
-    /// [`TpccDb`] carries the global warehouse count.
+    /// A generator over `warehouses` warehouses of `scale`'s size — the
+    /// cluster driver spans warehouses across several node databases,
+    /// so no single [`TpccDb`] carries the global warehouse count.
     #[must_use]
     pub(crate) fn with_scale(
         cfg: DriverConfig,
         seed: u64,
         warehouses: u64,
-        customers_per_district: u64,
-        items: u64,
-        name_count: u64,
+        scale: &DbConfig,
     ) -> Self {
-        let c = customers_per_district;
-        let i = items;
         Self {
             cfg,
             rng: Xoshiro256::seed_from_u64(seed),
-            // A constants scale with the range per clause 2.1.6
-            customer_nu: NuRand::new(1023.min(c.next_power_of_two() - 1), 0, c - 1),
-            item_nu: NuRand::new(8191.min(i.next_power_of_two() - 1), 0, i - 1),
+            customer_nu: scale.customer_nurand(),
+            item_nu: scale.item_nurand(),
+            name_nu: scale.name_nurand(),
             warehouses,
-            items: i,
-            name_count,
+            items: scale.items,
         }
     }
 
@@ -277,10 +265,7 @@ impl InputGen {
 
     fn selector(&mut self) -> CustomerSelector {
         if self.rng.chance(self.cfg.by_name_prob) {
-            let names = self.name_count;
-            let id = NuRand::new(255.min(names.next_power_of_two() - 1), 0, names - 1)
-                .sample(&mut self.rng);
-            CustomerSelector::ByName(id)
+            CustomerSelector::ByName(self.name_nu.sample(&mut self.rng))
         } else {
             CustomerSelector::ById(self.customer_nu.sample(&mut self.rng))
         }

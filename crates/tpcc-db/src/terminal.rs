@@ -591,15 +591,8 @@ pub(crate) fn run_terminals<P: Placement>(p: &P, seats: &[Seat]) -> (Vec<Tally>,
                 scope.spawn(move || {
                     let mut terminal = Terminal::new(p);
                     terminal.think_us = seat.think_us;
-                    let scale = p.db(0).config();
-                    let mut gen = InputGen::with_scale(
-                        seat.cfg,
-                        seat.seed,
-                        p.warehouses(),
-                        scale.customers_per_district,
-                        scale.items,
-                        scale.name_count(),
-                    );
+                    let mut gen =
+                        InputGen::with_scale(seat.cfg, seat.seed, p.warehouses(), p.db(0).config());
                     terminal.run(&mut gen, seat.transactions)
                 })
             })

@@ -148,12 +148,19 @@ impl NuRand {
     #[inline]
     #[must_use]
     pub fn combine(&self, narrow: u64, wide: u64) -> u64 {
+        self.finish(narrow | wide)
+    }
+
+    /// The id an OR value `narrow | wide` maps to: add C, reduce by the
+    /// modulus, shift by x.
+    #[inline]
+    pub(crate) fn finish(&self, or: u64) -> u64 {
         let modulus = if self.paper_modulus {
             self.y - self.x
         } else {
             self.y - self.x + 1
         };
-        ((narrow | wide) + self.c) % modulus + self.x
+        (or + self.c) % modulus + self.x
     }
 }
 

@@ -76,20 +76,49 @@ impl Pmf {
         }
     }
 
-    /// Exact PMF of a NURand distribution by enumerating every
-    /// `(rand(0,A), rand(x,y))` pair — `O(A · range)` time, zero noise.
+    /// Exact PMF of a NURand distribution: the share of all
+    /// `(rand(0,A), rand(x,y))` pairs behind each id — zero noise.
     ///
-    /// For the paper's `NU(8191, 1, 100000)` this is ~8.2 × 10⁸ cheap
-    /// iterations (a few seconds in release mode); prefer it over
-    /// [`Pmf::monte_carlo`] whenever exactness matters.
+    /// When `A + 1` is a power of two `2^k` (every spec and engine
+    /// constant) this takes `O(range + k · 2^k)`: an aligned block of
+    /// `2^k` wide draws with base `b` puts `3^popcount(u)` pairs on the
+    /// OR value `b + u` (each set bit of `u` comes from the narrow draw,
+    /// the wide one or both), and a partial end block is a subset sum
+    /// over the wide draws it holds. Any other `A` enumerates every pair,
+    /// `O(A · range)`.
     #[must_use]
     pub fn exact_nurand(nu: &NuRand) -> Self {
         let len = nu.range_len() as usize;
         let mut counts = vec![0u64; len];
-        for narrow in 0..=nu.a {
-            for wide in nu.x..=nu.y {
-                let v = nu.combine(narrow, wide);
-                counts[(v - nu.x) as usize] += 1;
+        match nu.a.checked_add(1).filter(|w| w.is_power_of_two()) {
+            Some(width) => {
+                let mask = width - 1;
+                let full = or_pair_counts(width, 0, mask);
+                let mut base = nu.x & !mask;
+                loop {
+                    let (first, last) = (nu.x.max(base) - base, nu.y.min(base | mask) - base);
+                    let partial;
+                    let pairs = if first == 0 && last == mask {
+                        &full
+                    } else {
+                        partial = or_pair_counts(width, first, last);
+                        &partial
+                    };
+                    for (u, &n) in pairs.iter().enumerate() {
+                        counts[(nu.finish(base | u as u64) - nu.x) as usize] += n;
+                    }
+                    match base.checked_add(width) {
+                        Some(next) if next <= nu.y => base = next,
+                        _ => break,
+                    }
+                }
+            }
+            None => {
+                for narrow in 0..=nu.a {
+                    for wide in nu.x..=nu.y {
+                        counts[(nu.combine(narrow, wide) - nu.x) as usize] += 1;
+                    }
+                }
             }
         }
         Self::from_counts(nu.x, &counts)
@@ -213,11 +242,10 @@ impl Pmf {
     #[must_use]
     pub fn hotness_ranking(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = (self.first_id..self.first_id + self.len() as u64).collect();
+        // stable: equally hot ids keep ascending id order
         ids.sort_by(|&a, &b| {
-            self.prob(b)
-                .partial_cmp(&self.prob(a))
-                .expect("finite probs")
-                .then(a.cmp(&b))
+            let p = |id: u64| self.probs[(id - self.first_id) as usize];
+            p(b).total_cmp(&p(a))
         });
         ids
     }
@@ -239,6 +267,33 @@ impl Pmf {
             .map(|(p, q)| (p - q).abs())
             .sum::<f64>()
     }
+}
+
+/// `result[u]` = how many pairs of a narrow draw in `0 .. width` and a
+/// wide low part in `first ..= last` OR to `u` (`width` a power of
+/// two). A low part `lo ⊆ u` pairs with the `2^popcount(lo)` narrow
+/// draws that fill in `u`'s other bits, so the result is the subset sum
+/// of those weights, one pass per bit.
+fn or_pair_counts(width: u64, first: u64, last: u64) -> Vec<u64> {
+    let mut counts: Vec<u64> = (0..width)
+        .map(|lo| {
+            if (first..=last).contains(&lo) {
+                1 << lo.count_ones()
+            } else {
+                0
+            }
+        })
+        .collect();
+    let mut bit = 1;
+    while bit < width {
+        for u in 0..width as usize {
+            if u & bit as usize != 0 {
+                counts[u] += counts[u ^ bit as usize];
+            }
+        }
+        bit <<= 1;
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -282,6 +337,35 @@ mod tests {
         let p = Pmf::exact_nurand(&nu);
         assert!((p.prob(0) - 0.25).abs() < 1e-12);
         assert!((p.prob(1) - 0.75).abs() < 1e-12);
+    }
+
+    /// Every pair, counted one at a time: the reference the block
+    /// enumeration must reproduce.
+    fn brute_force(nu: &NuRand) -> Pmf {
+        let mut counts = vec![0u64; nu.range_len() as usize];
+        for narrow in 0..=nu.a {
+            for wide in nu.x..=nu.y {
+                counts[(nu.combine(narrow, wide) - nu.x) as usize] += 1;
+            }
+        }
+        Pmf::from_counts(nu.x, &counts)
+    }
+
+    #[test]
+    fn block_enumeration_equals_brute_force() {
+        for nu in [
+            NuRand::new(255, 0, 999),
+            NuRand::new(1023, 0, 2999),
+            NuRand::new(7, 3, 50).with_c(5),
+            NuRand::new(63, 5, 700).with_paper_modulus(),
+            // the narrow draw wider than the whole range
+            NuRand::new(511, 0, 299),
+        ] {
+            assert_eq!(Pmf::exact_nurand(&nu), brute_force(&nu), "{nu:?}");
+        }
+        // an A + 1 that is no power of two takes the brute-force path
+        let odd = NuRand::new(6, 1, 40);
+        assert_eq!(Pmf::exact_nurand(&odd), brute_force(&odd));
     }
 
     #[test]
