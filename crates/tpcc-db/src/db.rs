@@ -7,7 +7,6 @@ use crate::mvcc::WriteSet;
 use tpcc_obs::Obs;
 use tpcc_rand::NuRand;
 use tpcc_schema::relation::Relation;
-use tpcc_schema::Packing;
 use tpcc_storage::{
     BTree, BufferManager, BufferStats, DiskManager, FaultHook, FaultPlan, FaultStats, FileId,
     GroupCommitConfig, GroupCommitStats, HeapFile, LogManager, RecordId, RecoveryError, UndoStore,
@@ -68,18 +67,6 @@ pub struct DbConfig {
     /// item-id range before its first write. See
     /// `tpcc_storage::undo` and DESIGN.md §11.
     pub mvcc: bool,
-    /// Tuple→page placement of the static relations' heaps, the
-    /// paper's comparison axis (§3–§4). [`Packing::HotnessSorted`], the
-    /// default of both constructors, loads ITEM, each warehouse's STOCK
-    /// and each district's CUSTOMER hottest-first by the exact
-    /// probabilities of the driver's own NURand draws, so hot rows
-    /// share pages (`loader::load`). It pays where the pool is smaller
-    /// than the database: on the benchmark's `serial-nolog-miss` (pool
-    /// a tenth of one warehouse) pool write-backs fell 4.40 → 3.50 per
-    /// transaction and bytes written back per transaction by about a
-    /// fifth. [`Packing::Sequential`] loads in key order. Indexes, and
-    /// every row read by key, are the same under both.
-    pub packing: Packing,
 }
 
 impl DbConfig {
@@ -99,7 +86,6 @@ impl DbConfig {
             io_delay_us: 0,
             group_commit: None,
             mvcc: false,
-            packing: Packing::HotnessSorted,
         }
     }
 
@@ -120,7 +106,6 @@ impl DbConfig {
             io_delay_us: 0,
             group_commit: None,
             mvcc: false,
-            packing: Packing::HotnessSorted,
         }
     }
 

@@ -85,6 +85,20 @@ impl DriverConfig {
         self.spec_item_counts = true;
         self
     }
+
+    /// Customer selections per transaction in one district's terms,
+    /// `(by id, by last name)`: New-Order selects one by id, Delivery
+    /// one in each of its ten districts, and Payment and Order-Status
+    /// one each, by name with `by_name_prob`. A by-name selection reads
+    /// every owner of the name. The loader ranks customers by these.
+    pub(crate) fn customer_selections(&self) -> (f64, f64) {
+        let [new_order, payment, order_status, delivery, _] = self.mix;
+        let choosing = payment + order_status;
+        (
+            new_order + (1.0 - self.by_name_prob) * choosing + 10.0 * delivery,
+            self.by_name_prob * choosing,
+        )
+    }
 }
 
 /// One generated transaction request — everything random about it is
@@ -398,6 +412,20 @@ mod tests {
     use super::*;
     use crate::db::DbConfig;
     use crate::loader;
+
+    #[test]
+    fn customer_selections_follow_the_mix() {
+        let cfg = DriverConfig::default();
+        let (by_id, by_name) = cfg.customer_selections();
+        // New-Order 0.43, 40 % of (0.44 + 0.04), Delivery 10 × 0.05
+        assert!((by_id - 1.122).abs() < 1e-12, "{by_id}");
+        assert!((by_name - 0.288).abs() < 1e-12, "{by_name}");
+        let by_id_only = DriverConfig {
+            by_name_prob: 0.0,
+            ..cfg
+        };
+        assert_eq!(by_id_only.customer_selections().1, 0.0);
+    }
 
     #[test]
     fn mixed_run_completes_and_counts() {
